@@ -6,7 +6,8 @@ knot-rhombus, octahedra, corpus-list.  Common flags: --curve FILE or
 --tol, --json OUT, --svg OUT.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics in the JSON
-document when requested), 2 usage error.
+document when requested), 2 usage error (bad flags, unreadable or invalid
+spec files, bad settings, violated preconditions).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .corpus import corpus as corpus_build
 from .corpus import corpus_list
 from .counting import count_special_quads
 from .curves import ClosedCurve, EmbeddedSphere, curve_from_spec
-from .errors import PegfinderError
+from .errors import DomainError, PegfinderError
 from .fields import field_from_spec
 from .polygons import vertices
 from .report import ResultDocument, branch_dict, dumps
@@ -99,10 +100,17 @@ def _corpus_params(extras):
     return params
 
 
+def _read_spec(path):
+    with open(path) as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise DomainError(f"{path}: a spec must be a JSON object")
+    return spec
+
+
 def _load_subject(args, params):
     if args.curve:
-        with open(args.curve) as fh:
-            spec = json.load(fh)
+        spec = _read_spec(args.curve)
         if spec.get("kind", "").endswith("field") or spec.get("kind") in ("chordal", "synthetic-field"):
             return field_from_spec(spec)
         return curve_from_spec(spec)
@@ -113,7 +121,9 @@ def _load_subject(args, params):
             except TypeError:
                 pass
         return corpus_build(args.corpus, **params)
-    raise SystemExit(2)
+    if args.cmd == "octahedra":
+        return corpus_build("scaled-sphere", lz=args.lambda_z)
+    raise DomainError("need --curve FILE or --corpus NAME")
 
 
 def _write_outputs(args, doc: ResultDocument, svg_text=None):
@@ -140,14 +150,21 @@ def main(argv=None) -> int:
     except SystemExit:
         ap.error(f"unrecognized arguments: {' '.join(extras)}")
     t0 = time.time()
-    settings = TraceSettings(corrector_tol=args.tol, seed=args.seed)
+    try:
+        settings = TraceSettings(corrector_tol=args.tol, seed=args.seed)
+        subject = _load_subject(args, params)
+        field2 = field_from_spec(_read_spec(args.field2)) if getattr(args, "field2", None) else None
+    except (OSError, ValueError, TypeError, KeyError, PegfinderError) as err:
+        # unreadable input, bad settings or corpus parameters: usage errors
+        print(f"pegfinder {args.cmd}: {err}", file=sys.stderr)
+        return 2
     doc = ResultDocument(command=["pegfinder", args.cmd] + argv[1:], subject={}, settings={
         "corrector_tol": settings.corrector_tol,
         "seed": settings.seed,
     })
     svg_text = None
     try:
-        svg_text = _run(args, params, settings, doc)
+        svg_text = _run(args, subject, field2, settings, doc)
     except PegfinderError as err:
         doc.status = "error"
         doc.result = {
@@ -158,33 +175,25 @@ def main(argv=None) -> int:
         doc.wall_time_ms = 1000.0 * (time.time() - t0)
         _write_outputs(args, doc)
         print(f"pegfinder {args.cmd}: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, DomainError) else 1
     doc.wall_time_ms = 1000.0 * (time.time() - t0)
     _write_outputs(args, doc, svg_text)
     print(dumps(doc.result))
     return 0
 
 
-def _run(args, params, settings, doc) -> str | None:
+def _run(args, subject, field2, settings, doc) -> str | None:
     cmd = args.cmd
+    doc.subject = subject.spec()
     if cmd == "octahedra":
-        sphere = (
-            _load_subject(args, params)
-            if (args.curve or args.corpus)
-            else corpus_build("scaled-sphere", lz=args.lambda_z)
-        )
-        if not isinstance(sphere, EmbeddedSphere):
-            raise SystemExit(2)
-        doc.subject = sphere.spec()
-        comps, info = find_octahedra(sphere, settings)
+        if not isinstance(subject, EmbeddedSphere):
+            raise DomainError("octahedra needs a scaled sphere")
+        comps, info = find_octahedra(subject, settings)
         doc.result = dict(info)
         doc.branches = [branch_dict(c) for c in comps[:4]]
         doc.counts = {"components": info["components"]}
         q0 = comps[0].points[0]
-        return render_octahedron_svg(sphere, q0.reshape(6, 3))
-
-    subject = _load_subject(args, params)
-    doc.subject = subject.spec()
+        return render_octahedron_svg(subject, q0.reshape(6, 3))
 
     if cmd == "find-square":
         square, prov = find_square(subject, settings)
@@ -233,10 +242,8 @@ def _run(args, params, settings, doc) -> str | None:
         return None
 
     if cmd == "triangle":
-        if args.field2:
-            with open(args.field2) as fh:
-                f2 = field_from_spec(json.load(fh))
-            verts, info = find_two_metric_triangle(subject, f2, settings)
+        if field2 is not None:
+            verts, info = find_two_metric_triangle(subject, field2, settings)
         else:
             verts, info = find_equilateral_triangle(subject, settings)
         doc.result = {"vertex_params": list(verts), **info}

@@ -16,7 +16,7 @@ import numpy as np
 from ._threads import parallel_map
 from .curves import ClosedCurve, signed_area
 from .errors import NonIsolatedSolutionsError
-from .polygons import PolygonParam, cyclic_shift, param_dist, vertices
+from .polygons import PolygonParam, cyclic_shift, orbit_dist, param_dist, vertices
 from .residuals import RectangleSystem, SpecialQuadSliceSystem, SquareSystem
 from .searches import (
     FAMILY_RANK_TOL,
@@ -26,7 +26,7 @@ from .searches import (
     simplex_lattice,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import TraceSettings, chart_diff, trace_branch
+from .tracing import TraceSettings, trace_branch
 
 
 @dataclass
@@ -65,7 +65,7 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24, condition_lim
     sq = SquareSystem(curve)
     seeds = polygon_seed_grid(4, nx, m)
     zeros = gauss_newton_batch(sq, seeds, tol=1e-11, prune_after=1, prune_level=0.6)
-    reps = dedup_orbits(sq, zeros)
+    reps = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
     conditions = [smallest_singular_ratio(sq, sq.from_param(p)) for p in reps]
     notes = []
     flagged = [i for i, c in enumerate(conditions) if c < 1.0 / condition_limit]
@@ -82,7 +82,7 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24, condition_lim
         (i, j)
         for i in range(len(reps))
         for j in range(i + 1, len(reps))
-        if _orbit_dist4(reps[i], reps[j]) < 1e-2
+        if orbit_dist(reps[i], reps[j]) < 1e-2
     ]
     if close_pairs:
         raise NonIsolatedSolutionsError(
@@ -114,10 +114,6 @@ def _param_dict(p: PolygonParam):
     return {"base": p.base, "gaps": p.gaps.tolist(), "vertices": vertices(p).tolist()}
 
 
-def _orbit_dist4(a, b):
-    return min(param_dist(cyclic_shift(a, k), b) for k in range(4))
-
-
 def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, verify_square=True):
     """Count special quadrilaterals of a given size on the slice system.
 
@@ -137,7 +133,7 @@ def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, veri
         sys, seeds, tol=1e-11, margin_floor=min(1e-6, eps * 1e-4)
     )
     notes = []
-    reps = _dedup_slice(sys, zeros)
+    reps = dedup_orbits(sys, zeros)
     family = any(smallest_singular_ratio(sys, z) < FAMILY_RANK_TOL for z in reps[:64])
     if family:
         notes.append("slice zeros form a family (symmetric source); counting only the classifier-positive ones")
@@ -173,19 +169,6 @@ def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, veri
     )
 
 
-def _dedup_slice(sys, zeros, tol=1e-5):
-    if len(zeros) == 0:
-        return []
-    rounded = np.round(zeros / (10 * tol)).astype(np.int64)
-    _, first = np.unique(rounded, axis=0, return_index=True)
-    coarse = zeros[np.sort(first)]
-    reps = []
-    for z in coarse:
-        if all(np.max(np.abs(chart_diff(sys, z, r))) > tol for r in reps):
-            reps.append(z)
-    return reps
-
-
 def classify_rectangle_components(curve: ClosedCurve, settings=None, square_report=None):
     """Trace the rectangle branch through every labeled square and check the
     per-component square parity bookkeeping.
@@ -202,7 +185,8 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
 
     def containing(p_lab):
         for comp in components:
-            if any(_orbit_free_dist(p_lab, s) < 1e-4 for s in comp["squares"]):
+            # labeled squares are the bookkeeping unit: no orbit quotient
+            if any(param_dist(p_lab, s) < 1e-4 for s in comp["squares"]):
                 return comp
         return None
 
@@ -281,12 +265,6 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
         notes=notes,
         verdicts=verdicts,
     )
-
-
-def _orbit_free_dist(a: PolygonParam, b: PolygonParam):
-    """Plain labeled distance (no orbit quotient): labeled squares are the
-    bookkeeping unit for component signatures."""
-    return param_dist(a, b)
 
 
 def orientation_check(curve: ClosedCurve, square) -> bool:

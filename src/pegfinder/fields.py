@@ -1,5 +1,9 @@
 """Distance fields on the circle: symmetric, positive definite d(x, y).
 
+Every residual system reads distances between its vertices through
+``pair_dists``/``pair_dists_grad``; ``as_field`` turns a curve into its
+chordal field, so curves and synthetic fields share one path.
+
 Two sources:
 
 * ``ChordalField`` -- pull back chord lengths of an embedded curve.
@@ -17,6 +21,7 @@ from .curves import ClosedCurve
 from .errors import DomainError
 
 GRID = 200  # diagnostic grid resolution for symmetry/definiteness checks
+_TINY = 1e-300
 
 
 class DistanceField:
@@ -29,6 +34,21 @@ class DistanceField:
 
     def spec(self) -> dict:
         raise NotImplementedError
+
+    def pair_dists(self, V, pairs):
+        """Distances between vertex pairs of tuples V (..., n): (..., len(pairs))."""
+        i, j = zip(*pairs)
+        return self.d(V[..., i], V[..., j])
+
+    def pair_dists_grad(self, V, pairs):
+        """G (..., len(pairs), n): G[..., e, v] = d pair_e / d vertex v."""
+        i, j = zip(*pairs)
+        dx, dy = self.partials(V[..., i], V[..., j])
+        G = np.zeros(dx.shape + (V.shape[-1],))
+        rows = np.arange(len(pairs))
+        G[..., rows, i] = dx
+        G[..., rows, j] += dy
+        return G
 
     def check_definite(self, grid: int = GRID):
         """Reject fields that vanish or go negative off the diagonal."""
@@ -60,6 +80,29 @@ class ChordalField(DistanceField):
             np.sum(u * self.curve.deriv(x), axis=-1),
             -np.sum(u * self.curve.deriv(y), axis=-1),
         )
+
+    def pair_dists(self, V, pairs):
+        """Chord lengths, evaluating each vertex once."""
+        P = self.curve.eval(V)
+        i, j = zip(*pairs)
+        diff = P[..., i, :] - P[..., j, :]
+        return np.linalg.norm(diff, axis=-1)
+
+    def pair_dists_grad(self, V, pairs):
+        """Chord-length gradients, evaluating each vertex once; finite on the diagonal."""
+        P, D = self.curve.eval_and_deriv(V)
+        n = V.shape[-1]
+        i, j = zip(*pairs)
+        diff = P[..., i, :] - P[..., j, :]
+        L = np.linalg.norm(diff, axis=-1)
+        safe = np.maximum(L, _TINY)
+        gi = np.sum(diff * D[..., i, :], axis=-1) / safe
+        gj = -np.sum(diff * D[..., j, :], axis=-1) / safe
+        G = np.zeros(L.shape + (n,))
+        rows = np.arange(len(pairs))
+        G[..., rows, i] = gi
+        G[..., rows, j] += gj
+        return G
 
     def spec(self):
         return {"kind": "chordal", "curve": self.curve.spec()}
@@ -128,6 +171,15 @@ class SyntheticField(DistanceField):
             "qs": self.qs.tolist(),
             "rs": self.rs.tolist(),
         }
+
+
+def as_field(source) -> DistanceField:
+    """A distance field as given, or the chordal field of a curve."""
+    if isinstance(source, ClosedCurve):
+        return ChordalField(source)
+    if not isinstance(source, DistanceField):
+        raise DomainError("need a curve or a distance field")
+    return source
 
 
 def field_from_curve(curve: ClosedCurve) -> ChordalField:

@@ -1,16 +1,21 @@
 """Residual systems whose zero sets are the polygon families of interest.
 
-Each system exposes a chart: a flat coordinate vector z that the solvers and
-the tracer understand.
+Each polygon family is a mix of pairwise distances: a system declares the
+vertex ``pairs`` it measures and a ``mix`` matrix, and its residual is
+``mix @ d(pairs)`` for the distance field of its source (a curve's chordal
+field or any ``DistanceField``, see ``fields.as_field``).  ``PolygonSystem``
+implements that residual and its Jacobian once; the parallelogram
+(midpoints are not distances), the special-quadrilateral slice and the
+octahedron keep their own.
 
-* Polygon systems on curves use z = (base, t_0, ..., t_{n-2}); the last gap
-  is 1 minus the rest, so the simplex constraint is built into the chart.
-* The special-quadrilateral slice uses z = (t, u_1, u_2): first and last
-  vertex ride a path (y_1(t), y_4(t)), with u_i the arcs to the two free
-  vertices in between.
-* The octahedron system uses z = 18 ambient coordinates of six points with
-  unit-norm constraints appended to the residual (intrinsic dimensions:
-  12 domain, 11 codomain).
+Charts (flat coordinate vectors z for the solvers and the tracer):
+
+* P_n: z = (base, t_0, ..., t_{n-2}); the last gap is 1 minus the rest,
+  so the simplex constraint is built into the chart.
+* Special-quadrilateral slice: z = (t, u_1, u_2); first and last vertex
+  ride a path (y_1(t), y_4(t)), u_i are the arcs to the two free vertices.
+* Octahedron: 18 ambient coordinates of six points, unit-norm constraints
+  appended to the residual (intrinsic dimensions: 12 domain, 11 codomain).
 
 All residuals and Jacobians are vectorized over leading batch dimensions.
 """
@@ -25,55 +30,18 @@ from scipy.linalg import helmert
 from .circle import wrap
 from .curves import ClosedCurve, EmbeddedSphere
 from .errors import DegenerateConfigurationError, DomainError
-from .fields import ChordalField, DistanceField
-from .polygons import PolygonParam, cyclic_shift, star_base, vertices
+from .fields import DistanceField, as_field
+from .polygons import PolygonParam, cyclic_shift, vertices
 
 _TINY = 1e-300
 
 
-def _vertex_map(z):
-    """Vertex parameters (..., n) from chart (..., n)."""
-    x = z[..., :1]
-    cum = np.cumsum(z[..., 1:], axis=-1)
-    return np.concatenate([x, x + cum], axis=-1)
-
-
-def _vertex_chart_jacobian(n):
-    """Constant dV_i/dz_m matrix, shape (n, n)."""
-    J = np.zeros((n, n))
-    J[:, 0] = 1.0
-    for m in range(1, n):
-        J[m:, m] = 1.0
-    return J
-
-
-def _pair_lengths(curve, V, pairs):
-    """Lengths of chords between vertex pairs: (..., len(pairs))."""
-    P = curve.eval(V)
-    i, j = zip(*pairs)
-    diff = P[..., i, :] - P[..., j, :]
-    return np.linalg.norm(diff, axis=-1)
-
-
-def _pair_lengths_grad(curve, V, pairs):
-    """(lengths, d length / d vertex-parameter) for each pair.
-
-    Returns L with shape (..., m) and G with shape (..., m, n) where
-    G[..., e, v] is the derivative of pair e with respect to vertex v.
-    """
-    P, D = curve.eval_and_deriv(V)
-    n = V.shape[-1]
-    i, j = zip(*pairs)
-    diff = P[..., i, :] - P[..., j, :]
-    L = np.linalg.norm(diff, axis=-1)
-    safe = np.maximum(L, _TINY)
-    gi = np.sum(diff * D[..., i, :], axis=-1) / safe
-    gj = -np.sum(diff * D[..., j, :], axis=-1) / safe
-    G = np.zeros(L.shape + (n,))
-    rows = np.arange(len(pairs))
-    G[..., rows, i] = gi
-    G[..., rows, j] += gj
-    return L, G
+def _ties(m, *ties):
+    """Mix over m pair distances with one row d_a - d_b per tie (a, b)."""
+    mix = np.zeros((len(ties), m))
+    for row, (a, b) in enumerate(ties):
+        mix[row, a], mix[row, b] = 1.0, -1.0
+    return mix
 
 
 class ResidualSystem:
@@ -113,13 +81,27 @@ class ResidualSystem:
 
 
 class PolygonSystem(ResidualSystem):
-    """Shared chart logic for systems living on P_n over a curve."""
+    """Residual mix @ d(pairs) on the P_n chart over a curve or distance field.
 
-    def __init__(self, curve: ClosedCurve, n: int):
-        self.curve = curve
+    Subclasses declare ``pairs`` (vertex index pairs) and ``mix`` (one row
+    per residual component, one column per pair).
+    """
+
+    pairs: list
+    mix: np.ndarray
+
+    def __init__(self, source, n: int):
+        if n < 3:
+            raise DomainError("need at least 3 vertices")
+        self.field = as_field(source)
+        self.curve = getattr(self.field, "curve", None)
         self.n = n
         self.domain_dim = n
-        self._chart_jac = _vertex_chart_jacobian(n)
+        self._chart_jac = np.tril(np.ones((n, n)))  # constant dV_i / dz_m
+
+    @property
+    def codomain_dim(self):
+        return self.mix.shape[0]
 
     def to_param(self, z) -> PolygonParam:
         z = np.asarray(z, dtype=float)
@@ -134,9 +116,8 @@ class PolygonSystem(ResidualSystem):
 
     def star_base_z(self, z):
         z = np.asarray(z, dtype=float)
-        n = self.n
-        weights = (n - np.arange(1, n)) / n
-        return wrap(z[..., 0] + z[..., 1:] @ weights[: n - 1])
+        weights = (self.n - np.arange(1, self.n)) / self.n
+        return wrap(z[..., 0] + z[..., 1:] @ weights)
 
     def gaps_of(self, z):
         z = np.asarray(z, dtype=float)
@@ -147,45 +128,37 @@ class PolygonSystem(ResidualSystem):
         return np.min(self.gaps_of(z), axis=-1)
 
     def vertex_params(self, z):
-        return _vertex_map(np.asarray(z, dtype=float))
+        """Vertex parameters (..., n) from chart (..., n)."""
+        z = np.asarray(z, dtype=float)
+        x = z[..., :1]
+        return np.concatenate([x, x + np.cumsum(z[..., 1:], axis=-1)], axis=-1)
 
-    def _lengths(self, z, pairs):
-        return _pair_lengths(self.curve, self.vertex_params(z), pairs)
+    def dists(self, z, pairs):
+        """Field distances between the vertex pairs at chart points z."""
+        return self.field.pair_dists(self.vertex_params(z), pairs)
 
-    def _lengths_grad(self, z, pairs):
-        L, G = _pair_lengths_grad(self.curve, self.vertex_params(z), pairs)
-        return L, G @ self._chart_jac
+    def residual(self, z):
+        return self.dists(z, self.pairs) @ self.mix.T
+
+    def jacobian(self, z):
+        G = self.field.pair_dists_grad(self.vertex_params(z), self.pairs)
+        return self.mix @ (G @ self._chart_jac)
 
 
 QUAD_PAIRS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
+QUAD_EDGES = QUAD_PAIRS[:4]
 
 
 class SquareSystem(PolygonSystem):
     """Four equal edges and equal diagonals; zeros are metric squares."""
 
     kind = "square"
-    codomain_dim = 4
     symmetry_order = 4
-    _mix = np.array(
-        [
-            [1, -1, 0, 0, 0, 0],
-            [0, 1, -1, 0, 0, 0],
-            [0, 0, 1, -1, 0, 0],
-            [0, 0, 0, 0, 1, -1],
-        ],
-        dtype=float,
-    )
+    pairs = QUAD_PAIRS
+    mix = _ties(6, (0, 1), (1, 2), (2, 3), (4, 5))
 
     def __init__(self, curve):
         super().__init__(curve, 4)
-
-    def residual(self, z):
-        L = self._lengths(np.asarray(z, dtype=float), QUAD_PAIRS)
-        return L @ self._mix.T
-
-    def jacobian(self, z):
-        _, G = self._lengths_grad(np.asarray(z, dtype=float), QUAD_PAIRS)
-        return self._mix @ G
 
 
 class EdgeRatioSystem(PolygonSystem):
@@ -195,32 +168,22 @@ class EdgeRatioSystem(PolygonSystem):
 
     def __init__(self, curve, n, rhos=None):
         super().__init__(curve, n)
-        if rhos is None:
-            rhos = np.ones(n - 1)
-        rhos = np.asarray(rhos, dtype=float)
+        rhos = np.ones(n - 1) if rhos is None else np.asarray(rhos, dtype=float)
         if rhos.shape != (n - 1,) or np.any(rhos <= 0):
             raise DomainError(f"need {n - 1} positive edge ratios")
         sides = np.concatenate([rhos, [1.0]])
         if np.any(sides >= sides.sum() - sides):
             raise DomainError("edge ratios violate the polygon inequality")
         self.rhos = rhos
-        self.codomain_dim = n - 1
         self.symmetry_order = n if np.all(rhos == 1.0) else 1
         self.pairs = [(i, (i + 1) % n) for i in range(n)]
-
-    def residual(self, z):
-        L = self._lengths(np.asarray(z, dtype=float), self.pairs)
-        return L[..., :-1] - self.rhos * L[..., -1:]
-
-    def jacobian(self, z):
-        _, G = self._lengths_grad(np.asarray(z, dtype=float), self.pairs)
-        return G[..., :-1, :] - self.rhos[:, None] * G[..., -1:, :]
+        self.mix = np.hstack([np.eye(n - 1), -rhos[:, None]])
 
     def diagonal_gap(self, z):
         """d13 - d24 for n = 4; the diagonal-swap event function."""
         if self.n != 4:
             raise DomainError("diagonal gap is defined for quadrilaterals")
-        L = self._lengths(np.asarray(z, dtype=float), [(0, 2), (1, 3)])
+        L = self.dists(z, [(0, 2), (1, 3)])
         return L[..., 0] - L[..., 1]
 
 
@@ -228,38 +191,23 @@ class RectangleSystem(PolygonSystem):
     """Equal opposite edges and equal diagonals."""
 
     kind = "rectangle"
-    codomain_dim = 3
     symmetry_order = 4
-    _mix = np.array(
-        [
-            [1, 0, -1, 0, 0, 0],
-            [0, 1, 0, -1, 0, 0],
-            [0, 0, 0, 0, 1, -1],
-        ],
-        dtype=float,
-    )
+    pairs = QUAD_PAIRS
+    mix = _ties(6, (0, 2), (1, 3), (4, 5))
 
     def __init__(self, curve):
         super().__init__(curve, 4)
 
-    def residual(self, z):
-        L = self._lengths(np.asarray(z, dtype=float), QUAD_PAIRS)
-        return L @ self._mix.T
-
-    def jacobian(self, z):
-        _, G = self._lengths_grad(np.asarray(z, dtype=float), QUAD_PAIRS)
-        return self._mix @ G
-
     def fatness(self, z):
         """e12 - e23: changes sign exactly where the rectangle is a square."""
-        L = self._lengths(np.asarray(z, dtype=float), [(0, 1), (1, 2)])
+        L = self.dists(z, [(0, 1), (1, 2)])
         return L[..., 0] - L[..., 1]
 
     def aspect_event(self, r):
         """(e12+e34) - r (e23+e41): zero where the aspect ratio hits r."""
 
         def event(z):
-            L = self._lengths(np.asarray(z, dtype=float), QUAD_PAIRS[:4])
+            L = self.dists(z, QUAD_EDGES)
             return L[..., 0] + L[..., 2] - r * (L[..., 1] + L[..., 3])
 
         return event
@@ -281,22 +229,20 @@ class ParallelogramSystem(PolygonSystem):
         self.r = float(r)
 
     def residual(self, z):
-        z = np.asarray(z, dtype=float)
         V = self.vertex_params(z)
         P = self.curve.eval(V)
         mid = P[..., 0, :] + P[..., 2, :] - P[..., 1, :] - P[..., 3, :]
-        L = _pair_lengths(self.curve, V, QUAD_PAIRS[:4])
+        L = self.field.pair_dists(V, QUAD_EDGES)
         ratio = L[..., 0] + L[..., 2] - self.r * (L[..., 1] + L[..., 3])
         return np.concatenate([mid, ratio[..., None]], axis=-1)
 
     def jacobian(self, z):
-        z = np.asarray(z, dtype=float)
         V = self.vertex_params(z)
         D = self.curve.deriv(V)
         sign = np.array([1.0, -1.0, 1.0, -1.0])
         # d mid / d V_v = sign_v * gamma'(V_v), per plane coordinate
         Gmid = sign * np.swapaxes(D, -1, -2)  # (..., 2, 4)
-        _, Glen = _pair_lengths_grad(self.curve, V, QUAD_PAIRS[:4])
+        Glen = self.field.pair_dists_grad(V, QUAD_EDGES)
         Gratio = Glen[..., 0, :] + Glen[..., 2, :] - self.r * (Glen[..., 1, :] + Glen[..., 3, :])
         G = np.concatenate([Gmid, Gratio[..., None, :]], axis=-2)
         return G @ self._chart_jac
@@ -306,30 +252,15 @@ class Rhombus3dSystem(PolygonSystem):
     """Four equal edges on a space curve; planarity is tracked separately."""
 
     kind = "rhombus3d"
-    codomain_dim = 3
     symmetry_order = 4
-    _mix = np.array(
-        [
-            [1, -1, 0, 0],
-            [0, 1, -1, 0],
-            [0, 0, 1, -1],
-        ],
-        dtype=float,
-    )
+    pairs = QUAD_EDGES
+    mix = _ties(4, (0, 1), (1, 2), (2, 3))
 
     def __init__(self, curve):
         super().__init__(curve, 4)
 
-    def residual(self, z):
-        L = self._lengths(np.asarray(z, dtype=float), QUAD_PAIRS[:4])
-        return L @ self._mix.T
-
-    def jacobian(self, z):
-        _, G = self._lengths_grad(np.asarray(z, dtype=float), QUAD_PAIRS[:4])
-        return self._mix @ G
-
     def _points(self, z):
-        P = self.curve.eval(self.vertex_params(np.asarray(z, dtype=float)))
+        P = self.curve.eval(self.vertex_params(z))
         if self.curve.ambient_dim == 2:
             P = np.concatenate([P, np.zeros(P.shape[:-1] + (1,))], axis=-1)
         return P
@@ -344,16 +275,11 @@ class Rhombus3dSystem(PolygonSystem):
         u = P[..., 2, :] - P[..., 0, :]
         b = P[..., 3, :] - P[..., 0, :]
         vol = np.sum(np.cross(a, u) * b, axis=-1)
-        scale = (
-            np.linalg.norm(a, axis=-1)
-            * np.linalg.norm(u, axis=-1)
-            * np.linalg.norm(b, axis=-1)
-        )
+        scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(u, axis=-1) * np.linalg.norm(b, axis=-1)
         return vol / np.maximum(scale, _TINY)
 
     def diameter(self, z):
-        L = self._lengths(np.asarray(z, dtype=float), QUAD_PAIRS)
-        return np.max(L, axis=-1)
+        return np.max(self.dists(z, QUAD_PAIRS), axis=-1)
 
     def planarity_angle(self, z) -> float:
         """Dihedral angle in (0, 2 pi) along diagonal v1 v3; pi means planar."""
@@ -388,15 +314,13 @@ class SpecialQuadSliceSystem(ResidualSystem):
     codomain_dim = 3
     symmetry_order = 1
     tie_tol = 1e-9
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
+    mix = _ties(5, (0, 1), (1, 2), (3, 4))
 
     def __init__(self, source, eps, path=None):
-        if isinstance(source, ClosedCurve):
-            source = ChordalField(source)
-        if not isinstance(source, DistanceField):
-            raise DomainError("need a curve or a distance field")
+        self.field = as_field(source)
         if not 0.0 < eps < 1.0:
             raise DomainError("size must lie in (0, 1)")
-        self.field = source
         self.eps = float(eps)
         self.path = path  # None means (id, id + eps)
 
@@ -433,39 +357,21 @@ class SpecialQuadSliceSystem(ResidualSystem):
         return np.min(self._margins(z), axis=-1)
 
     def _dists(self, z, pairs):
-        V = self.vertex_params(z)
-        i, j = zip(*pairs)
-        return self.field.d(V[..., i], V[..., j])
+        return self.field.pair_dists(self.vertex_params(z), pairs)
 
     def residual(self, z):
-        D = self._dists(z, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
-        return np.stack(
-            [D[..., 0] - D[..., 1], D[..., 1] - D[..., 2], D[..., 3] - D[..., 4]],
-            axis=-1,
-        )
+        return self._dists(z, self.pairs) @ self.mix.T
 
     def jacobian(self, z):
         z = np.asarray(z, dtype=float)
-        V = self.vertex_params(z)
-        pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
-        i, j = zip(*pairs)
-        dx, dy = self.field.partials(V[..., i], V[..., j])
-        G = np.zeros(z.shape[:-1] + (5, 4))
-        rows = np.arange(5)
-        G[..., rows, i] = dx
-        G[..., rows, j] += dy
+        G = self.field.pair_dists_grad(self.vertex_params(z), self.pairs)
         d1, d4 = self._ends_deriv(z[..., 0])
-        chart = np.zeros(z.shape[:-1] + (4, 3))
-        chart[..., 0, 0] = d1
-        chart[..., 1, 0] = d1
-        chart[..., 2, 0] = d1
+        chart = np.zeros(z.shape[:-1] + (4, 3))  # dV_i / dz_m
+        chart[..., :3, 0] = np.asarray(d1)[..., None]
         chart[..., 3, 0] = d4
-        chart[..., 1, 1] = 1.0
-        chart[..., 2, 1] = 1.0
-        chart[..., 2, 2] = 1.0
-        Gz = G @ chart
-        mix = np.array([[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, -1]], dtype=float)
-        return mix @ Gz
+        chart[..., 1:3, 1] = 1.0  # x2 and x3 move with u1
+        chart[..., 2, 2] = 1.0  # x3 moves with u2
+        return self.mix @ (G @ chart)
 
     def classify(self, z):
         """(is_special, size, a, b, near_tie) at a residual zero."""
@@ -487,23 +393,12 @@ class SpecialQuadPathSystem(PolygonSystem):
     one-dimensional set of special-shaped quadrilaterals, swept over sizes."""
 
     kind = "special_quad_path"
-    codomain_dim = 3
     symmetry_order = 1
-    _mix = np.array(
-        [[1, -1, 0, 0, 0, 0], [0, 1, -1, 0, 0, 0], [0, 0, 0, 0, 1, -1]],
-        dtype=float,
-    )
+    pairs = QUAD_PAIRS
+    mix = _ties(6, (0, 1), (1, 2), (4, 5))
 
     def __init__(self, curve):
         super().__init__(curve, 4)
-
-    def residual(self, z):
-        L = self._lengths(np.asarray(z, dtype=float), QUAD_PAIRS)
-        return L @ self._mix.T
-
-    def jacobian(self, z):
-        _, G = self._lengths_grad(np.asarray(z, dtype=float), QUAD_PAIRS)
-        return self._mix @ G
 
     def size(self, z):
         """Arc length from the first to the last vertex: 1 minus the last gap."""
@@ -511,71 +406,20 @@ class SpecialQuadPathSystem(PolygonSystem):
         return np.sum(z[..., 1:], axis=-1)
 
 
-class TriangleSystem(ResidualSystem):
+class TriangleSystem(PolygonSystem):
     """Equilateral triangles of a distance field, on the P_3 chart."""
 
     kind = "triangle"
-    domain_dim = 3
-    codomain_dim = 2
     symmetry_order = 3
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    mix = _ties(3, (0, 1), (1, 2))
 
-    def __init__(self, field: DistanceField):
-        if isinstance(field, ClosedCurve):
-            field = ChordalField(field)
-        self.field = field
-        self._chart_jac = _vertex_chart_jacobian(3)
-
-    def to_param(self, z) -> PolygonParam:
-        z = np.asarray(z, dtype=float)
-        gaps = np.concatenate([z[1:], [1.0 - z[1:].sum()]])
-        return PolygonParam(z[0], np.clip(gaps, 0.0, None))
-
-    def from_param(self, p: PolygonParam):
-        return np.concatenate([[p.base], p.gaps[:-1]])
-
-    def shift_z(self, z, k=1):
-        return self.from_param(cyclic_shift(self.to_param(z), k))
-
-    def star_base_z(self, z):
-        z = np.asarray(z, dtype=float)
-        weights = np.array([2.0 / 3.0, 1.0 / 3.0])
-        return wrap(z[..., 0] + z[..., 1:] @ weights)
-
-    def gaps_of(self, z):
-        z = np.asarray(z, dtype=float)
-        last = 1.0 - np.sum(z[..., 1:], axis=-1)
-        return np.concatenate([z[..., 1:], last[..., None]], axis=-1)
-
-    def boundary_margins(self, z):
-        return np.min(self.gaps_of(z), axis=-1)
-
-    def vertex_params(self, z):
-        return _vertex_map(np.asarray(z, dtype=float))
-
-    def residual(self, z):
-        V = self.vertex_params(z)
-        i, j = (0, 1, 2), (1, 2, 0)
-        D = self.field.d(V[..., i], V[..., j])
-        return np.stack([D[..., 0] - D[..., 1], D[..., 1] - D[..., 2]], axis=-1)
-
-    def jacobian(self, z):
-        z = np.asarray(z, dtype=float)
-        V = self.vertex_params(z)
-        i, j = (0, 1, 2), (1, 2, 0)
-        dx, dy = self.field.partials(V[..., i], V[..., j])
-        G = np.zeros(z.shape[:-1] + (3, 3))
-        rows = np.arange(3)
-        G[..., rows, i] = dx
-        G[..., rows, j] += dy
-        mix = np.array([[1, -1, 0], [0, 1, -1]], dtype=float)
-        return mix @ (G @ self._chart_jac)
+    def __init__(self, field):
+        super().__init__(field, 3)
 
     def pairwise(self, z, field=None):
         """The three pairwise distances (d12, d23, d31), optionally in another field."""
-        field = field or self.field
-        V = self.vertex_params(z)
-        i, j = (0, 1, 2), (1, 2, 0)
-        return field.d(V[..., i], V[..., j])
+        return (field or self.field).pair_dists(self.vertex_params(z), self.pairs)
 
 
 # --- octahedron ------------------------------------------------------------
@@ -591,11 +435,11 @@ _HELMERT11.setflags(write=False)
 
 def octahedron_group():
     """The 48 vertex-label permutations preserving the opposite-pair structure."""
-    perms = []
-    for sigma in itertools.permutations(range(6)):
-        if all(sigma[(v + 3) % 6] == (sigma[v] + 3) % 6 for v in range(6)):
-            perms.append(sigma)
-    return perms
+    return [
+        sigma
+        for sigma in itertools.permutations(range(6))
+        if all(sigma[(v + 3) % 6] == (sigma[v] + 3) % 6 for v in range(6))
+    ]
 
 
 def octahedron_edge_permutation(sigma):
@@ -681,7 +525,7 @@ def edge_diag_map(curve: ClosedCurve, p: PolygonParam):
     """(e12, e23, e34, e41, d13, d24) for a quadrilateral parameter."""
     if p.n != 4:
         raise DomainError("edge/diagonal map needs n = 4")
-    return _pair_lengths(curve, vertices(p)[None, :], QUAD_PAIRS)[0]
+    return as_field(curve).pair_dists(vertices(p)[None, :], QUAD_PAIRS)[0]
 
 
 def square_residual(curve, p: PolygonParam):
@@ -715,10 +559,8 @@ def planarity_angle(curve, p: PolygonParam) -> float:
 
 
 def triangle_residual(field: DistanceField, x, y, z):
-    i, j = (0, 1, 2), (1, 2, 0)
     V = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)], axis=-1)
-    D = field.d(V[..., i], V[..., j])
-    return np.stack([D[..., 0] - D[..., 1], D[..., 1] - D[..., 2]], axis=-1)
+    return as_field(field).pair_dists(V, TriangleSystem.pairs) @ TriangleSystem.mix.T
 
 
 def special_quad_residual(source, t, x2, x3, y=None, eps=None):
@@ -754,7 +596,4 @@ def octahedron_residual(sphere: EmbeddedSphere, q):
 def shift_square_residual(r):
     """Exact image of the square residual under one cyclic relabeling."""
     r = np.asarray(r, dtype=float)
-    return np.stack(
-        [r[..., 1], r[..., 2], -r[..., 0] - r[..., 1] - r[..., 2], -r[..., 3]],
-        axis=-1,
-    )
+    return np.stack([r[..., 1], r[..., 2], -r[..., 0] - r[..., 1] - r[..., 2], -r[..., 3]], axis=-1)

@@ -14,8 +14,8 @@ import numpy as np
 from .circle import circle_dist, wrap
 from .curves import ClosedCurve, EmbeddedSphere
 from .errors import ConvergenceError, NonIsolatedSolutionsError, SearchFailure
-from .fields import ChordalField, DistanceField
-from .polygons import PolygonParam, canonical, cyclic_shift, orbit_dist
+from .fields import as_field
+from .polygons import canonical, cyclic_shift, orbit_dist, param_dist
 from .residuals import (
     EdgeRatioSystem,
     OctahedronSystem,
@@ -27,7 +27,7 @@ from .residuals import (
     octahedron_group,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import TraceSettings, chain_distance, trace_branch
+from .tracing import Branch, TraceSettings, chain_distance, chart_diff, trace_branch
 
 FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution family
 
@@ -77,43 +77,43 @@ def canonicalize_batch(system, Z):
     return np.hstack([base[:, None], rolled[:, : n - 1]])
 
 
-def _system_orbit_dist(system, p, q):
-    """Orbit distance restricted to the system's own symmetry subgroup."""
-    s = system.symmetry_order
-    if s <= 1:
-        from .polygons import param_dist
-
-        return param_dist(p, q)
-    step = p.n // s
-    from .polygons import param_dist
-
-    return min(param_dist(cyclic_shift(p, a * step), q) for a in range(s))
-
-
 def dedup_orbits(system, zeros, tol=1e-5, max_merge=512):
-    """Cluster converged zeros into distinct orbits (canonical reps).
+    """Cluster converged zeros into distinct orbits; returns canonical chart
+    points (k, m), sorted.
 
-    A coarse rounding pass shrinks the population first; the exact pairwise
-    merge is skipped beyond max_merge survivors (that many apparent orbits
-    means the zeros sample a continuous family, where pairwise merging is
-    meaningless anyway).
+    Two zeros are one orbit when some shift the system is equivariant under
+    brings them within tol (max-norm over base and all gaps; plain chart
+    distance for charts without a polygon parameter).  A coarse rounding
+    pass shrinks the population first; the exact pairwise merge is skipped
+    beyond max_merge survivors (that many apparent orbits means the zeros
+    sample a continuous family, where pairwise merging is meaningless).
     """
-    if len(zeros) == 0:
-        return []
     Zc = canonicalize_batch(system, zeros)
+    if len(Zc) == 0:
+        return Zc
     rounded = np.round(Zc / (10 * tol)).astype(np.int64)
     _, first = np.unique(rounded, axis=0, return_index=True)
-    coarse = Zc[np.sort(first)]
-    if len(coarse) > max_merge:
-        reps = [system.to_param(z) for z in coarse]
-    else:
-        reps = []
-        for z in coarse:
-            p = system.to_param(z)
-            if all(_system_orbit_dist(system, p, q) > tol for q in reps):
-                reps.append(p)
-    reps.sort(key=lambda p: (round(p.base, 9), tuple(np.round(p.gaps, 9))))
-    return reps
+    reps = Zc[np.sort(first)]
+    if len(reps) <= max_merge:
+        if hasattr(system, "to_param"):
+            items = [system.to_param(z) for z in reps]
+            step = system.n // system.symmetry_order
+
+            def dist(p, q):
+                return min(param_dist(cyclic_shift(p, k), q) for k in range(0, p.n, step))
+
+        else:
+            items = list(reps)
+
+            def dist(a, b):
+                return np.max(np.abs(chart_diff(system, a, b)))
+
+        keep = []
+        for k, item in enumerate(items):
+            if all(dist(item, items[r]) > tol for r in keep):
+                keep.append(k)
+        reps = reps[keep]
+    return reps[np.lexsort(np.round(reps, 9).T[::-1])]
 
 
 def enumerate_branches(system, seeds, settings=None, events=None, max_branches=32):
@@ -146,7 +146,7 @@ def multistart_squares(curve, nx=24, m=16, tol=1e-11):
     """Distinct square orbits from batched Newton; also reports family symptoms."""
     sq = SquareSystem(curve)
     zeros = gauss_newton_batch(sq, polygon_seed_grid(4, nx, m), tol=tol)
-    reps = dedup_orbits(sq, zeros)
+    reps = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
     conditions = [smallest_singular_ratio(sq, sq.from_param(p)) for p in reps]
     family = any(c < FAMILY_RANK_TOL for c in conditions) or _smeared(reps)
     return reps, conditions, family
@@ -228,13 +228,8 @@ def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
         dists = [orbit_dist(swap_square, p) for p in newton_reps]
         provenance["newton_agreement"] = float(min(dists))
         provenance["agrees"] = bool(min(dists) <= 1e-6)
-    provenance["residual"] = float(np.linalg.norm(square_res(curve, swap_square)))
+    provenance["residual"] = float(np.linalg.norm(sq.residual(sq.from_param(swap_square))))
     return canonical(swap_square), provenance
-
-
-def square_res(curve, p: PolygonParam):
-    sq = SquareSystem(curve)
-    return sq.residual(sq.from_param(p))
 
 
 # --- rectangles ---------------------------------------------------------------
@@ -254,7 +249,7 @@ def find_rectangle(curve: ClosedCurve, r, settings=None, cross_check=False):
             "grid (the underlying conjecture is open)",
             {"ratio": r, "seeds": len(seeds)},
         )
-    params = dedup_orbits(par, zeros, max_merge=128)
+    params = [par.to_param(z) for z in dedup_orbits(par, zeros, max_merge=128)]
     best = params[0]
     info = {
         "ratio": float(r),
@@ -299,17 +294,13 @@ def _rectangle_branch_check(curve, r, candidates, settings):
 # --- triangles ----------------------------------------------------------------
 
 
-def _as_field(source) -> DistanceField:
-    return ChordalField(source) if isinstance(source, ClosedCurve) else source
-
-
 def find_equilateral_triangle(source, settings=None, nx=16, m=9):
     """Three distinct circle points equidistant under the field.
 
     Returns ((x, y, z), info).  Degenerate near-diagonal zeros are rejected.
     """
     settings = settings or TraceSettings()
-    sys = TriangleSystem(_as_field(source))
+    sys = TriangleSystem(source)
     seeds = polygon_seed_grid(3, nx, m)
     zeros = gauss_newton_batch(sys, seeds, tol=1e-11)
     good = []
@@ -344,8 +335,8 @@ def find_two_metric_triangle(source1, source2, settings=None):
     """Equilateral under d1 and isosceles under d2, via isosceles-hit events
     on the invariant equilateral branch."""
     settings = settings or TraceSettings()
-    d1, d2 = _as_field(source1), _as_field(source2)
-    sys = TriangleSystem(d1)
+    sys = TriangleSystem(source1)
+    d2 = as_field(source2)
 
     def iso_event(k):
         def ev(z):
@@ -538,8 +529,6 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40, max_compon
         raise SearchFailure("no octahedron circle found from the seed population", {"seeds": n_seeds})
 
     # close under the label symmetry group, then deduplicate components
-    from .tracing import Branch
-
     components = []
     for br in traced:
         for sigma in octahedron_group():

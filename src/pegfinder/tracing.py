@@ -35,8 +35,11 @@ class TraceSettings:
 
     def __post_init__(self):
         for name in ("corrector_tol", "step_init", "step_max", "closure_tol", "boundary_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
         if self.corrector_tol >= self.closure_tol:
             raise ValueError("corrector_tol must be below closure_tol")
 

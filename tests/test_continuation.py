@@ -30,6 +30,17 @@ def test_trace_settings_validation():
         TraceSettings(corrector_tol=-1.0)
     with pytest.raises(ValueError):
         TraceSettings(corrector_tol=1e-3, closure_tol=1e-6)
+    for bad in (
+        {"corrector_tol": float("nan")},
+        {"closure_tol": float("nan")},
+        {"step_max": float("inf")},
+        {"step_init": float("nan")},
+        {"boundary_floor": float("inf")},
+        {"closure_tol": float("inf")},
+        {"max_steps": 0},
+    ):
+        with pytest.raises(ValueError):
+            TraceSettings(**bad)
 
 
 def test_refine_circle_square(circle):

@@ -165,6 +165,22 @@ def test_rectangle_components_fourier_seed5():
     assert rep.verdicts["every_closed_component_even"]
 
 
+def test_three_square_orbits_and_rectangle_bookkeeping():
+    # a curve with more than one square orbit, so the orbit dedup has to
+    # keep distinct orbits apart as well as merge the labelings of each
+    curve = corpus("fourier-random", degree=10, amp=0.6, seed=2)
+    rep = count_squares(curve)
+    assert rep.orbit_count == 3
+    assert rep.parity == 1 and rep.verdicts["parity_odd"]
+    for i, a in enumerate(rep.orbits):
+        for b in rep.orbits[i + 1 :]:
+            pa, pb = PolygonParam(a["base"], a["gaps"]), PolygonParam(b["base"], b["gaps"])
+            assert orbit_dist(pa, pb) > 1e-2
+    comps = classify_rectangle_components(curve, square_report=rep)
+    assert comps.total == 12
+    assert comps.verdicts["total_matches_orbit_count"]
+
+
 def test_orientation_check(circle, ellipse, ellipse_squares):
     square = PolygonParam(ellipse_squares.orbits[0]["base"], ellipse_squares.orbits[0]["gaps"])
     assert orientation_check(ellipse, square) is True

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegfinder import (
+    DistanceField,
     DomainError,
     EmbeddedSphere,
     PolylineCurve,
@@ -95,6 +96,21 @@ def test_field_from_curve_matches_chord(circle, trefoil, rng):
     x = rng.uniform(size=32)
     y = rng.uniform(size=32)
     assert np.array_equal(ft.d(x, y), ft.d(y, x))
+
+
+@pytest.mark.parametrize("name, params", [("fourier-random", {"seed": 3}), ("cusp", {})])
+def test_chordal_pair_dists_match_generic_path(name, params):
+    # the chordal fast path (each vertex evaluated once) against the generic
+    # d/partials path, at off-diagonal vertex tuples
+    f = field_from_curve(corpus(name, **params))
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
+    rng = np.random.default_rng(11)
+    V = np.sort(rng.uniform(size=(64, 4)), axis=-1)
+    V = V[np.min(np.diff(V, axis=-1), axis=-1) > 1e-3]
+    assert np.allclose(f.pair_dists(V, pairs), DistanceField.pair_dists(f, V, pairs), rtol=1e-14, atol=0)
+    G = f.pair_dists_grad(V, pairs)
+    assert G.shape == V.shape[:1] + (len(pairs), 4)
+    assert np.allclose(G, DistanceField.pair_dists_grad(f, V, pairs), rtol=1e-9, atol=1e-12)
 
 
 def test_corpus_determinism():

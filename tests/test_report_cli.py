@@ -96,6 +96,24 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # unreadable input, bad settings and violated preconditions exit 2 too,
+    # with a one-line message instead of a traceback
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    for argv in (
+        ["find-square", "--corpus", "ellipse", "--a", "foo"],
+        ["find-square", "--curve", "missing.json"],
+        ["find-square", "--curve", "broken.json"],
+        ["find-square", "--curve", "list.json"],
+        ["find-square", "--corpus", "ellipse", "--tol", "-1"],
+        ["find-square", "--corpus", "ellipse", "--tol", "nan"],
+        ["find-rect", "--corpus", "circle", "--ratio", "-1"],
+        ["find-ngon", "--corpus", "circle", "--n", "2"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"pegfinder {argv[0]}: ") and err.count("\n") == 1, err
     # numerical failure exits 1 with diagnostics in the JSON
     code = main(["octahedra", "--lambda-z", "1.0", "--json", "oct.json"])
     assert code == 1

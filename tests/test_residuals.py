@@ -139,6 +139,8 @@ def test_edge_ratio_polygon_inequality():
         EdgeRatioSystem(curve, 4, [3.0, 0.5, 0.5])
     with pytest.raises(DomainError):
         EdgeRatioSystem(curve, 3, [5.0, 1.0])
+    with pytest.raises(DomainError, match="need at least 3 vertices"):
+        EdgeRatioSystem(curve, 2)
 
 
 # --- special quadrilateral slice ------------------------------------------------
@@ -344,19 +346,17 @@ def _interior_quad_chart(rng):
         lambda e: RectangleSystem(e),
         lambda e: ParallelogramSystem(e, 2.0),
         lambda e: SpecialQuadPathSystem(e),
+        lambda e: TriangleSystem(e),
     ],
-    ids=["square", "rhombus", "ratio5", "rectangle", "parallelogram", "special-path"],
+    ids=["square", "rhombus", "ratio5", "rectangle", "parallelogram", "special-path", "triangle"],
 )
 def test_jacobians_match_finite_differences(factory, ellipse, rng):
     sys = factory(ellipse)
-    n = getattr(sys, "n", 4)
+    n = sys.n
     worst = 0.0
     for _ in range(50):
-        if n == 5:
-            g = rng.dirichlet([4] * 5)
-            z = np.concatenate([[rng.uniform()], g[:4]])
-        else:
-            z = _interior_quad_chart(rng)
+        g = rng.dirichlet([4] * n)
+        z = np.concatenate([[rng.uniform()], g[: n - 1]])
         J = sys.jacobian(z)
         Jn = sys.numeric_jacobian(z)
         worst = max(worst, np.max(np.abs(J - Jn)) / max(np.max(np.abs(Jn)), 1e-9))
