@@ -1,7 +1,8 @@
 """Squares on random smooth curves come in an odd number of orbits.
 
-Multistart Newton over a quarter-million seeds, deduplicated by the cyclic
-relabeling action.  The round circle is rejected on purpose: its squares form
+Multistart Newton from the seeds of a quarter-million-point grid that fall in
+one fundamental domain of the cyclic relabeling action, deduplicated by that
+action.  The round circle is rejected on purpose: its squares form
 a rotating family, not isolated points, and the count would be meaningless.
 """
 

@@ -24,7 +24,7 @@ from .corpus import corpus_list
 from .counting import count_special_quads
 from .curves import ClosedCurve, EmbeddedSphere, curve_from_spec
 from .errors import DomainError, PegfinderError
-from .fields import field_from_spec
+from .fields import DistanceField, field_from_spec
 from .polygons import vertices
 from .report import ResultDocument, branch_dict, dumps
 from .searches import (
@@ -182,12 +182,25 @@ def main(argv=None) -> int:
     return 0
 
 
+# the subject each command works on, and how to name it in the usage error
+_SUBJECTS = {
+    "find-square": (ClosedCurve, "a curve"),
+    "find-rect": (ClosedCurve, "a curve"),
+    "find-ngon": (ClosedCurve, "a curve"),
+    "knot-rhombus": (ClosedCurve, "a curve"),
+    "count-special": ((ClosedCurve, DistanceField), "a curve or a distance field"),
+    "triangle": ((ClosedCurve, DistanceField), "a curve or a distance field"),
+    "octahedra": (EmbeddedSphere, "a scaled sphere"),
+}
+
+
 def _run(args, subject, field2, settings, doc) -> str | None:
     cmd = args.cmd
     doc.subject = subject.spec()
+    kinds, wanted = _SUBJECTS[cmd]
+    if not isinstance(subject, kinds):
+        raise DomainError(f"{cmd} needs {wanted}, not a {doc.subject['kind']}")
     if cmd == "octahedra":
-        if not isinstance(subject, EmbeddedSphere):
-            raise DomainError("octahedra needs a scaled sphere")
         comps, info = find_octahedra(subject, settings)
         doc.result = dict(info)
         doc.branches = [branch_dict(c) for c in comps[:4]]
@@ -260,8 +273,6 @@ def _run(args, subject, field2, settings, doc) -> str | None:
             polygons=[vertices(rhombus)],
             annotations=[(vertices(rhombus), "planar rhombus")],
         )
-
-    raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ from .circle import wrap
 from .errors import DomainError
 
 SECANT_STEP = 1e-6
+SPEED_GRID = 512  # parameters at which a Fourier curve's speed must not vanish
+SPEED_FLOOR = 1e-9  # ... relative to its largest speed there
 
 
 class ClosedCurve:
@@ -53,6 +55,8 @@ class FourierCurve(ClosedCurve):
             raise DomainError("coefficient arrays disagree in shape")
         if const.shape[0] not in (2, 3):
             raise DomainError("ambient dimension must be 2 or 3")
+        if not all(np.all(np.isfinite(a)) for a in (const, cos_coeffs, sin_coeffs)):
+            raise DomainError("curve coefficients must be finite")
         self.const = const
         self.cos_coeffs = cos_coeffs
         self.sin_coeffs = sin_coeffs
@@ -61,6 +65,11 @@ class FourierCurve(ClosedCurve):
         self._k = np.arange(1, self.degree + 1, dtype=float)
         for a in (self.const, self.cos_coeffs, self.sin_coeffs):
             a.setflags(write=False)
+        speed = np.linalg.norm(self.deriv(np.arange(SPEED_GRID) / SPEED_GRID), axis=-1)
+        if np.min(speed) <= SPEED_FLOOR * np.max(speed):
+            # a point, a doubled arc or a cusp: the chart of inscribed
+            # polygons degenerates and the finders would chase it
+            raise DomainError("the curve's velocity vanishes on the diagnostic grid")
 
     def _angles(self, t):
         t = np.asarray(t, dtype=float)

@@ -1,8 +1,10 @@
 """Distance fields on the circle: symmetric, positive definite d(x, y).
 
 Every residual system reads distances between its vertices through
-``pair_dists``/``pair_dists_grad``; ``as_field`` turns a curve into its
-chordal field, so curves and synthetic fields share one path.
+``pair_dists``/``pair_dists_grad``, or both at once through
+``pair_dists_and_grad``, which the chordal field serves from one curve
+evaluation; ``as_field`` turns a curve into its chordal field, so curves and
+synthetic fields share one path.
 
 Two sources:
 
@@ -50,6 +52,10 @@ class DistanceField:
         G[..., rows, j] += dy
         return G
 
+    def pair_dists_and_grad(self, V, pairs):
+        """(pair_dists, pair_dists_grad) at once; fields that share work override it."""
+        return self.pair_dists(V, pairs), self.pair_dists_grad(V, pairs)
+
     def check_definite(self, grid: int = GRID):
         """Reject fields that vanish or go negative off the diagonal."""
         u = (np.arange(grid) + 0.5) / grid
@@ -89,7 +95,11 @@ class ChordalField(DistanceField):
         return np.linalg.norm(diff, axis=-1)
 
     def pair_dists_grad(self, V, pairs):
-        """Chord-length gradients, evaluating each vertex once; finite on the diagonal."""
+        return self.pair_dists_and_grad(V, pairs)[1]
+
+    def pair_dists_and_grad(self, V, pairs):
+        """Chord lengths and their gradients from one evaluation of each
+        vertex (position and velocity together); finite on the diagonal."""
         P, D = self.curve.eval_and_deriv(V)
         n = V.shape[-1]
         i, j = zip(*pairs)
@@ -102,7 +112,7 @@ class ChordalField(DistanceField):
         rows = np.arange(len(pairs))
         G[..., rows, i] = gi
         G[..., rows, j] += gj
-        return G
+        return L, G
 
     def spec(self):
         return {"kind": "chordal", "curve": self.curve.spec()}

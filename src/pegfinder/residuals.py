@@ -58,6 +58,10 @@ class ResidualSystem:
     def jacobian(self, z):
         raise NotImplementedError
 
+    def linearize(self, z):
+        """(residual(z), jacobian(z)); systems that can share work override it."""
+        return self.residual(z), self.jacobian(z)
+
     def boundary_margins(self, z):
         """Batched distance to the domain boundary, shape z.shape[:-1]."""
         return np.full(np.shape(z)[:-1], np.inf)
@@ -144,6 +148,11 @@ class PolygonSystem(ResidualSystem):
         G = self.field.pair_dists_grad(self.vertex_params(z), self.pairs)
         return self.mix @ (G @ self._chart_jac)
 
+    def linearize(self, z):
+        """Residual and Jacobian from one pass over the pair distances."""
+        L, G = self.field.pair_dists_and_grad(self.vertex_params(z), self.pairs)
+        return L @ self.mix.T, self.mix @ (G @ self._chart_jac)
+
 
 QUAD_PAIRS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
 QUAD_EDGES = QUAD_PAIRS[:4]
@@ -219,6 +228,7 @@ class ParallelogramSystem(PolygonSystem):
     kind = "parallelogram"
     codomain_dim = 3
     symmetry_order = 2
+    linearize = ResidualSystem.linearize  # its residual is not a pair-distance mix
 
     def __init__(self, curve, r):
         if curve.ambient_dim != 2:

@@ -42,14 +42,24 @@ def simplex_lattice(n, m):
     return np.diff(full, axis=1) / m
 
 
-def polygon_seed_grid(n, nx, m):
-    """Chart seeds (B, n): base grid times interior gap lattice."""
+def polygon_seed_grid(n, nx, m, symmetry_order=1):
+    """Chart seeds (B, n): base grid times interior gap lattice.
+
+    With symmetry_order s > 1 only the seeds whose star base lies in
+    [0, 1/s) are kept.  A cyclic relabeling shifts the star base rigidly by
+    1/n, so that window is a fundamental domain of the Z_s action: every
+    orbit keeps a labeling there, seeded at the density of the full grid.
+    """
     shapes = simplex_lattice(n, m)[:, : n - 1]
     xs = (np.arange(nx) + 0.5) / nx
     B = len(shapes) * nx
     seeds = np.empty((B, n))
     seeds[:, 0] = np.repeat(xs, len(shapes))
     seeds[:, 1:] = np.tile(shapes, (nx, 1))
+    if symmetry_order > 1:
+        weights = (n - np.arange(1, n)) / n
+        star = wrap(seeds[:, 0] + seeds[:, 1:] @ weights)
+        seeds = seeds[star < 1.0 / symmetry_order]
     return seeds
 
 

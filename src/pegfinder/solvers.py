@@ -82,18 +82,20 @@ def gauss_newton_batch(
     """Run Gauss-Newton on every seed at once; return the converged points.
 
     Seeds that blow up, stop being finite, or stay above prune_level after
-    prune_after sweeps are dropped.  Returns an array (C, m) of points with
-    residual norm <= tol whose boundary margin exceeds margin_floor; the
-    floor discards the exact but degenerate zeros sitting on the chart
-    boundary (coincident-vertex configurations), which are strong Newton
-    attractors but carry no geometry.
+    prune_after sweeps are dropped.  Each sweep linearizes the batch once
+    (``system.linearize``) and then drops the finished and pruned rows.
+    Returns an array (C, m) of points with residual norm <= tol whose
+    boundary margin exceeds margin_floor; the floor discards the exact but
+    degenerate zeros sitting on the chart boundary (coincident-vertex
+    configurations), which are strong Newton attractors but carry no
+    geometry.
     """
     Z = np.array(seeds, dtype=float)
     if Z.ndim != 2 or Z.shape[0] == 0:
         return np.empty((0, Z.shape[-1] if Z.ndim == 2 else 0))
     done = []
     for sweep in range(max_iter):
-        F = system.residual(Z)
+        F, J = system.linearize(Z)
         rn = np.linalg.norm(F, axis=-1)
         ok = np.isfinite(rn)
         conv = ok & (rn <= tol)
@@ -102,10 +104,9 @@ def gauss_newton_batch(
         keep = ok & ~conv
         if sweep >= prune_after:
             keep &= rn < prune_level
-        Z, F = Z[keep], F[keep]
+        Z, F, J = Z[keep], F[keep], J[keep]
         if Z.shape[0] == 0:
             break
-        J = system.jacobian(Z)
         step = _gn_step(J, F)
         ns = np.linalg.norm(step, axis=-1, keepdims=True)
         step = np.where(ns > max_step, step * (max_step / np.maximum(ns, 1e-300)), step)

@@ -469,3 +469,7 @@ class PerturbedSystem:
             pb = self.base.boundary_margins(z - e)[..., None] * self._field(z - e)
             cols.append(self.delta * (pa - pb) / (2 * step))
         return self.base.jacobian(z) + np.stack(cols, axis=-1)
+
+    def linearize(self, z):
+        # defined here so attribute delegation cannot hand out the base's
+        return self.residual(z), self.jacobian(z)

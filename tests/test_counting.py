@@ -10,7 +10,11 @@ from pegfinder import (
     orientation_check,
     vertices,
 )
+from pegfinder.counting import CountReport
 from pegfinder.polygons import PolygonParam, from_vertices, orbit_dist
+from pegfinder.residuals import SquareSystem
+from pegfinder.searches import dedup_orbits, polygon_seed_grid
+from pegfinder.solvers import gauss_newton_batch
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +27,11 @@ def test_count_squares_ellipse_single_odd_orbit(ellipse, ellipse_squares):
     assert rep.orbit_count == 1
     assert rep.parity == 1
     assert rep.total == 4 * rep.orbit_count
-    assert rep.resolution[2] >= 64**3
+    # seeds cover the Z_4 fundamental domain at the density of a >= 64^3 grid
+    nx, m, seeds_run, symmetry_order = rep.resolution
+    assert (nx, m) == (150, 24)
+    assert symmetry_order == 4
+    assert seeds_run * symmetry_order >= 64**3
     t1 = np.arctan(2) / (2 * np.pi)
     expected = from_vertices([t1, 0.5 - t1, 0.5 + t1, 1 - t1])
     found = PolygonParam(rep.orbits[0]["base"], rep.orbits[0]["gaps"])
@@ -179,6 +187,34 @@ def test_three_square_orbits_and_rectangle_bookkeeping():
     comps = classify_rectangle_components(curve, square_report=rep)
     assert comps.total == 12
     assert comps.verdicts["total_matches_orbit_count"]
+
+
+@pytest.mark.parametrize(
+    "name, params, orbits",
+    [("fourier-random", {"degree": 10, "amp": 0.6, "seed": 1}, 7), ("cusp", {}, 3)],
+)
+def test_count_squares_fundamental_domain_matches_full_grid(name, params, orbits):
+    # seeding only star base in [0, 1/4) finds the same orbits as seeding
+    # every labeling of the same grid
+    curve = corpus(name, **params)
+    rep = count_squares(curve)
+    sq = SquareSystem(curve)
+    zeros = gauss_newton_batch(
+        sq, polygon_seed_grid(4, 150, 24), tol=1e-11, prune_after=1, prune_level=0.6
+    )
+    full = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
+    assert rep.orbit_count == len(full) == orbits
+    for o in rep.orbits:
+        p = PolygonParam(o["base"], o["gaps"])
+        assert min(orbit_dist(p, q) for q in full) < 1e-8
+
+
+def test_rectangle_components_without_squares(ellipse):
+    empty = CountReport(kind="square", total=0, orbit_count=0, parity=0)
+    rep = classify_rectangle_components(ellipse, square_report=empty)
+    assert rep.total == 0 and rep.orbit_count == 0 and rep.orbits == []
+    assert rep.resolution == (0,)
+    assert rep.verdicts["total_matches_orbit_count"]
 
 
 def test_orientation_check(circle, ellipse, ellipse_squares):

@@ -9,6 +9,7 @@ from pegfinder import (
     DistanceField,
     DomainError,
     EmbeddedSphere,
+    FourierCurve,
     PolylineCurve,
     SyntheticField,
     chord,
@@ -137,6 +138,25 @@ def test_corpus_list_names():
     names = [n for n, _ in corpus_list()]
     for expected in ("circle", "ellipse", "fourier-random", "spiral", "cusp", "trefoil", "scaled-sphere"):
         assert expected in names
+    # every entry builds with its defaults, past the degenerate-curve checks
+    for name in names:
+        corpus(name)
+
+
+def test_fourier_curve_rejects_degenerate():
+    with pytest.raises(DomainError, match="finite"):
+        FourierCurve([0.0, 0.0], [[np.nan], [0.0]], [[0.0], [1.0]])
+    with pytest.raises(DomainError, match="finite"):
+        FourierCurve([0.0, np.inf], [[1.0], [0.0]], [[0.0], [1.0]])
+    # a point, a doubled segment (speed 0 at both ends) and a cusped
+    # epicycle all have a vanishing velocity somewhere on the grid
+    for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)):
+        with pytest.raises(DomainError, match="velocity"):
+            corpus("ellipse", a=a, b=b)
+    with pytest.raises(DomainError, match="velocity"):
+        FourierCurve([0.0, 0.0], [[2.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, -1.0]])
+    # thin but regular curves still build
+    corpus("ellipse", a=1.0, b=1e-3)
 
 
 def test_self_intersection_diagnostic(circle):

@@ -109,6 +109,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--corpus", "ellipse", "--tol", "nan"],
         ["find-rect", "--corpus", "circle", "--ratio", "-1"],
         ["find-ngon", "--corpus", "circle", "--n", "2"],
+        # a subject that does not suit the command
+        ["knot-rhombus", "--corpus", "field-random"],
+        ["find-rect", "--corpus", "field-random", "--ratio", "2"],
+        ["find-square", "--corpus", "field-random"],
+        ["find-square", "--corpus", "scaled-sphere"],
+        ["triangle", "--corpus", "scaled-sphere"],
+        # degenerate curves are rejected when they are built
+        ["find-square", "--corpus", "ellipse", "--a", "0", "--b", "0"],
+        ["find-square", "--corpus", "ellipse", "--a", "1", "--b", "0"],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv

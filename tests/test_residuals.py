@@ -388,6 +388,26 @@ def test_jacobians_triangle_and_slice_and_octahedron(rng):
         assert rel < 1e-5
 
 
+@pytest.mark.parametrize(
+    "factory, n",
+    [
+        (lambda: SquareSystem(corpus("fourier-random", seed=3)), 4),
+        (lambda: EdgeRatioSystem(corpus("ellipse"), 5, [1.0, 1.2, 0.8, 1.1]), 5),
+        (lambda: ParallelogramSystem(corpus("ellipse"), 2.0), 4),
+        (lambda: TriangleSystem(corpus("field-random", seed=4)), 3),
+    ],
+    ids=["square", "ratio5", "parallelogram", "triangle-field"],
+)
+def test_linearize_is_residual_and_jacobian_bit_for_bit(factory, n):
+    sys = factory()
+    rng = np.random.default_rng(5)
+    g = rng.dirichlet([4] * n, size=40)
+    Z = np.column_stack([rng.uniform(size=40), g[:, : n - 1]])
+    F, J = sys.linearize(Z)
+    assert np.array_equal(F, sys.residual(Z))
+    assert np.array_equal(J, sys.jacobian(Z))
+
+
 def test_polyline_system_uses_secant_jacobian():
     cusp = corpus("cusp")
     sys = SquareSystem(cusp)
