@@ -58,7 +58,7 @@ class CountReport:
         }
 
 
-def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24, condition_limit=1e10):
+def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
     """Count square orbits by multistart Newton on the Z_4 fundamental domain.
 
     The seeds are the points of the nx-by-lattice(m) grid (>= 64^3 points at
@@ -76,7 +76,7 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24, condition_lim
     reps = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
     conditions = [smallest_singular_ratio(sq, sq.from_param(p)) for p in reps]
     notes = []
-    flagged = [i for i, c in enumerate(conditions) if c < 1.0 / condition_limit]
+    flagged = [i for i, c in enumerate(conditions) if c < FAMILY_RANK_TOL]
     if flagged:
         raise NonIsolatedSolutionsError(
             "zero set is 1-dimensional, not isolated: the Jacobian is rank-"

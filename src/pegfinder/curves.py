@@ -117,6 +117,10 @@ class PolylineCurve(ClosedCurve):
         seglen = np.linalg.norm(seg, axis=1)
         if np.any(seglen == 0.0):
             raise DomainError("consecutive polyline vertices must be distinct")
+        if np.linalg.matrix_rank(v - v.mean(axis=0)) < 2:
+            raise DomainError("polyline vertices are collinear")
+        if v.shape[1] == 2 and not _encloses_area(v, seg):
+            raise DomainError("planar polyline encloses no area")
         self.vertices = v
         self.ambient_dim = v.shape[1]
         self._seg = seg
@@ -143,6 +147,22 @@ class PolylineCurve(ClosedCurve):
             "dim": self.ambient_dim,
             "vertices": self.vertices.tolist(),
         }
+
+
+def _encloses_area(v, seg):
+    """False for a planar chain that retraces itself (winding number zero
+    everywhere).  A shoelace area above 1e-12 box diagonal^2 settles it;
+    otherwise (a doubled chain, or lobes that cancel as in a figure eight)
+    the winding number just beside each segment midpoint decides."""
+    if abs(np.sum(v[:, 0] * seg[:, 1] - seg[:, 0] * v[:, 1])) > 2e-12 * np.sum(np.ptp(v, axis=0) ** 2):
+        return True
+    side = 1e-6 * np.stack([-seg[:, 1], seg[:, 0]], axis=-1)
+    probes = np.concatenate([v + 0.5 * seg + side, v + 0.5 * seg - side])
+    turn = np.zeros(len(probes))
+    for p, q in zip(v, np.roll(v, -1, axis=0)):
+        a, b = p - probes, q - probes
+        turn += np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.sum(a * b, axis=-1))
+    return bool(np.any(np.abs(turn) > np.pi))
 
 
 class EmbeddedSphere:

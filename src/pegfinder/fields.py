@@ -1,7 +1,7 @@
 """Distance fields on the circle: symmetric, positive definite d(x, y).
 
 Every residual system reads distances between its vertices through
-``pair_dists``/``pair_dists_grad``, or both at once through
+``pair_dists``, or distances and their vertex gradients at once through
 ``pair_dists_and_grad``, which the chordal field serves from one curve
 evaluation; ``as_field`` turns a curve into its chordal field, so curves and
 synthetic fields share one path.
@@ -42,19 +42,15 @@ class DistanceField:
         i, j = zip(*pairs)
         return self.d(V[..., i], V[..., j])
 
-    def pair_dists_grad(self, V, pairs):
-        """G (..., len(pairs), n): G[..., e, v] = d pair_e / d vertex v."""
+    def pair_dists_and_grad(self, V, pairs):
+        """(pair_dists, G) with G (..., len(pairs), n), G[..., e, v] = d pair_e / d vertex v."""
         i, j = zip(*pairs)
         dx, dy = self.partials(V[..., i], V[..., j])
         G = np.zeros(dx.shape + (V.shape[-1],))
         rows = np.arange(len(pairs))
         G[..., rows, i] = dx
         G[..., rows, j] += dy
-        return G
-
-    def pair_dists_and_grad(self, V, pairs):
-        """(pair_dists, pair_dists_grad) at once; fields that share work override it."""
-        return self.pair_dists(V, pairs), self.pair_dists_grad(V, pairs)
+        return self.pair_dists(V, pairs), G
 
     def check_definite(self, grid: int = GRID):
         """Reject fields that vanish or go negative off the diagonal."""
@@ -93,9 +89,6 @@ class ChordalField(DistanceField):
         i, j = zip(*pairs)
         diff = P[..., i, :] - P[..., j, :]
         return np.linalg.norm(diff, axis=-1)
-
-    def pair_dists_grad(self, V, pairs):
-        return self.pair_dists_and_grad(V, pairs)[1]
 
     def pair_dists_and_grad(self, V, pairs):
         """Chord lengths and their gradients from one evaluation of each

@@ -3,10 +3,11 @@
 Each polygon family is a mix of pairwise distances: a system declares the
 vertex ``pairs`` it measures and a ``mix`` matrix, and its residual is
 ``mix @ d(pairs)`` for the distance field of its source (a curve's chordal
-field or any ``DistanceField``, see ``fields.as_field``).  ``PolygonSystem``
-implements that residual and its Jacobian once; the parallelogram
-(midpoints are not distances), the special-quadrilateral slice and the
-octahedron keep their own.
+field or any ``DistanceField``, see ``fields.as_field``).  Every system
+supplies ``residual(z)`` and ``linearize(z) -> (F, J)``, the residual and
+its Jacobian from one pass (``jacobian`` is its J); ``PolygonSystem``
+implements both once, and the parallelogram (midpoints are not distances),
+the special-quadrilateral slice and the octahedron keep their own.
 
 Charts (flat coordinate vectors z for the solvers and the tracer):
 
@@ -44,6 +45,17 @@ def _ties(m, *ties):
     return mix
 
 
+def central_difference(f, z, step):
+    """Columns (f(z + e_m) - f(z - e_m)) / (2 step), e_m = step along axis m."""
+    z = np.asarray(z, dtype=float)
+    cols = []
+    for m in range(z.shape[-1]):
+        e = np.zeros_like(z)
+        e[..., m] = step
+        cols.append((f(z + e) - f(z - e)) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
 class ResidualSystem:
     """Base: a residual map on a flat chart, with cyclic symmetry metadata."""
 
@@ -55,12 +67,12 @@ class ResidualSystem:
     def residual(self, z):
         raise NotImplementedError
 
-    def jacobian(self, z):
+    def linearize(self, z):
+        """(residual(z), Jacobian at z), computed together."""
         raise NotImplementedError
 
-    def linearize(self, z):
-        """(residual(z), jacobian(z)); systems that can share work override it."""
-        return self.residual(z), self.jacobian(z)
+    def jacobian(self, z):
+        return self.linearize(z)[1]
 
     def boundary_margins(self, z):
         """Batched distance to the domain boundary, shape z.shape[:-1]."""
@@ -75,13 +87,7 @@ class ResidualSystem:
         return float(np.min(self.boundary_margins(z)))
 
     def numeric_jacobian(self, z, step=1e-6):
-        z = np.asarray(z, dtype=float)
-        cols = []
-        for m in range(z.shape[-1]):
-            e = np.zeros_like(z)
-            e[..., m] = step
-            cols.append((self.residual(z + e) - self.residual(z - e)) / (2 * step))
-        return np.stack(cols, axis=-1)
+        return central_difference(self.residual, z, step)
 
 
 class PolygonSystem(ResidualSystem):
@@ -143,10 +149,6 @@ class PolygonSystem(ResidualSystem):
 
     def residual(self, z):
         return self.dists(z, self.pairs) @ self.mix.T
-
-    def jacobian(self, z):
-        G = self.field.pair_dists_grad(self.vertex_params(z), self.pairs)
-        return self.mix @ (G @ self._chart_jac)
 
     def linearize(self, z):
         """Residual and Jacobian from one pass over the pair distances."""
@@ -228,7 +230,6 @@ class ParallelogramSystem(PolygonSystem):
     kind = "parallelogram"
     codomain_dim = 3
     symmetry_order = 2
-    linearize = ResidualSystem.linearize  # its residual is not a pair-distance mix
 
     def __init__(self, curve, r):
         if curve.ambient_dim != 2:
@@ -239,23 +240,20 @@ class ParallelogramSystem(PolygonSystem):
         self.r = float(r)
 
     def residual(self, z):
-        V = self.vertex_params(z)
-        P = self.curve.eval(V)
-        mid = P[..., 0, :] + P[..., 2, :] - P[..., 1, :] - P[..., 3, :]
-        L = self.field.pair_dists(V, QUAD_EDGES)
-        ratio = L[..., 0] + L[..., 2] - self.r * (L[..., 1] + L[..., 3])
-        return np.concatenate([mid, ratio[..., None]], axis=-1)
+        return self.linearize(z)[0]
 
-    def jacobian(self, z):
+    def linearize(self, z):
         V = self.vertex_params(z)
-        D = self.curve.deriv(V)
+        P, D = self.curve.eval_and_deriv(V)
+        L, Glen = self.field.pair_dists_and_grad(V, QUAD_EDGES)
+        mid = P[..., 0, :] + P[..., 2, :] - P[..., 1, :] - P[..., 3, :]
+        ratio = L[..., 0] + L[..., 2] - self.r * (L[..., 1] + L[..., 3])
         sign = np.array([1.0, -1.0, 1.0, -1.0])
         # d mid / d V_v = sign_v * gamma'(V_v), per plane coordinate
         Gmid = sign * np.swapaxes(D, -1, -2)  # (..., 2, 4)
-        Glen = self.field.pair_dists_grad(V, QUAD_EDGES)
         Gratio = Glen[..., 0, :] + Glen[..., 2, :] - self.r * (Glen[..., 1, :] + Glen[..., 3, :])
         G = np.concatenate([Gmid, Gratio[..., None, :]], axis=-2)
-        return G @ self._chart_jac
+        return np.concatenate([mid, ratio[..., None]], axis=-1), G @ self._chart_jac
 
 
 class Rhombus3dSystem(PolygonSystem):
@@ -372,16 +370,16 @@ class SpecialQuadSliceSystem(ResidualSystem):
     def residual(self, z):
         return self._dists(z, self.pairs) @ self.mix.T
 
-    def jacobian(self, z):
+    def linearize(self, z):
         z = np.asarray(z, dtype=float)
-        G = self.field.pair_dists_grad(self.vertex_params(z), self.pairs)
+        L, G = self.field.pair_dists_and_grad(self.vertex_params(z), self.pairs)
         d1, d4 = self._ends_deriv(z[..., 0])
         chart = np.zeros(z.shape[:-1] + (4, 3))  # dV_i / dz_m
         chart[..., :3, 0] = np.asarray(d1)[..., None]
         chart[..., 3, 0] = d4
         chart[..., 1:3, 1] = 1.0  # x2 and x3 move with u1
         chart[..., 2, 2] = 1.0  # x3 moves with u2
-        return self.mix @ (G @ chart)
+        return L @ self.mix.T, self.mix @ (G @ chart)
 
     def classify(self, z):
         """(is_special, size, a, b, near_tie) at a residual zero."""
@@ -490,14 +488,15 @@ class OctahedronSystem(ResidualSystem):
         unit = 0.5 * (np.sum(self.points(z) ** 2, axis=-1) - 1.0)
         return np.concatenate([L @ _HELMERT11.T, unit], axis=-1)
 
-    def jacobian(self, z):
+    def linearize(self, z):
         z = np.asarray(z, dtype=float)
         q = self.points(z)
         p = q * self.sphere.scale
         i, j = zip(*OCT_EDGES)
         diff = p[..., i, :] - p[..., j, :]
-        L = np.maximum(np.linalg.norm(diff, axis=-1), _TINY)
-        u = diff / L[..., None] * self.sphere.scale  # d L / d q_i per coordinate
+        L = np.linalg.norm(diff, axis=-1)
+        F = np.concatenate([L @ _HELMERT11.T, 0.5 * (np.sum(q**2, axis=-1) - 1.0)], axis=-1)
+        u = diff / np.maximum(L, _TINY)[..., None] * self.sphere.scale  # d L / d q_i per coordinate
         Gl = np.zeros(z.shape[:-1] + (12, 6, 3))
         rows = np.arange(12)
         Gl[..., rows, i, :] = u
@@ -507,7 +506,7 @@ class OctahedronSystem(ResidualSystem):
         rows6 = np.arange(6)
         Gu[..., rows6, rows6, :] = q
         Gu = Gu.reshape(z.shape[:-1] + (6, 18))
-        return np.concatenate([_HELMERT11 @ Gl, Gu], axis=-2)
+        return F, np.concatenate([_HELMERT11 @ Gl, Gu], axis=-2)
 
     def min_separation(self, z):
         q = self.points(z)

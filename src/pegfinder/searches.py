@@ -21,9 +21,11 @@ from .residuals import (
     OctahedronSystem,
     ParallelogramSystem,
     RectangleSystem,
+    ResidualSystem,
     Rhombus3dSystem,
     SquareSystem,
     TriangleSystem,
+    central_difference,
     octahedron_group,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
@@ -405,7 +407,7 @@ def _triangle_answer(sys, d2, z, branch, note=None):
 # --- planar rhombus on knots ---------------------------------------------------
 
 
-class _PlanarRhombusSystem:
+class _PlanarRhombusSystem(ResidualSystem):
     """Square augmentation: equal edges plus coplanarity, for final polish."""
 
     kind = "rhombus3d_planar"
@@ -421,20 +423,15 @@ class _PlanarRhombusSystem:
         flat = self.base.coplanarity(z)
         return np.concatenate([self.base.residual(z), np.asarray(flat)[..., None]], axis=-1)
 
-    def jacobian(self, z, step=1e-7):
+    def linearize(self, z):
         z = np.asarray(z, dtype=float)
-        row = np.empty((1, 4))
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = step
-            row[0, i] = (self.base.coplanarity(z + e) - self.base.coplanarity(z - e)) / (2 * step)
-        return np.vstack([self.base.jacobian(z), row])
+        F, J = self.base.linearize(z)
+        flat = np.asarray(self.base.coplanarity(z))[..., None]
+        row = central_difference(self.base.coplanarity, z, 1e-7)[..., None, :]
+        return np.concatenate([F, flat], axis=-1), np.concatenate([J, row], axis=-2)
 
     def boundary_margins(self, z):
         return self.base.boundary_margins(z)
-
-    def boundary_margin(self, z):
-        return self.base.boundary_margin(z)
 
 
 def find_planar_rhombus(knot: ClosedCurve, settings=None, diameter_floor=1e-3):

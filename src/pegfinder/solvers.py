@@ -1,11 +1,13 @@
 """Gauss-Newton correction: single-point refinement and batched multistart.
 
-The single-point corrector uses least-squares steps (np.linalg.lstsq), so it
-handles square, overdetermined, and underdetermined systems alike; on a
-rank-deficient Jacobian the minimum-norm step keeps it on the zero set's
-nearest sheet.  The batched solver trades that robustness for throughput:
-regularized normal equations solved for the whole seed population at once,
-with divergent rows pruned between sweeps.
+Both read the residual and its Jacobian from one ``system.linearize`` call
+per iteration.  The single-point corrector uses least-squares steps
+(np.linalg.lstsq), so it handles square, overdetermined, and
+underdetermined systems alike; on a rank-deficient Jacobian the
+minimum-norm step keeps it on the zero set's nearest sheet.  The batched
+solver trades that robustness for throughput: regularized normal equations
+solved for the whole seed population at once, with divergent rows pruned
+between sweeps.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ def refine(system, z0, tol=1e-10, max_iter=50, boundary_floor=0.0):
     z = np.array(z0, dtype=float)
     best = None
     for _ in range(max_iter):
-        F = system.residual(z)
+        F, J = system.linearize(z)
         r = float(np.linalg.norm(F))
         if not np.isfinite(r):
             raise ConvergenceError("residual is not finite")
         if r <= tol:
             return z
-        J = system.jacobian(z)
         step = np.linalg.lstsq(J, -F, rcond=None)[0]
         # backtrack: plain Gauss-Newton overshoots on strongly curved residuals
         for _ in range(8):
@@ -82,13 +83,11 @@ def gauss_newton_batch(
     """Run Gauss-Newton on every seed at once; return the converged points.
 
     Seeds that blow up, stop being finite, or stay above prune_level after
-    prune_after sweeps are dropped.  Each sweep linearizes the batch once
-    (``system.linearize``) and then drops the finished and pruned rows.
-    Returns an array (C, m) of points with residual norm <= tol whose
-    boundary margin exceeds margin_floor; the floor discards the exact but
-    degenerate zeros sitting on the chart boundary (coincident-vertex
-    configurations), which are strong Newton attractors but carry no
-    geometry.
+    prune_after sweeps are dropped.  Returns an array (C, m) of points with
+    residual norm <= tol whose boundary margin exceeds margin_floor; the
+    floor discards the exact but degenerate zeros sitting on the chart
+    boundary (coincident-vertex configurations), which are strong Newton
+    attractors but carry no geometry.
     """
     Z = np.array(seeds, dtype=float)
     if Z.ndim != 2 or Z.shape[0] == 0:

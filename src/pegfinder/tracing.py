@@ -2,11 +2,13 @@
 
 Tangent continuation with an augmented-Newton corrector: predict along the
 Jacobian null direction, correct in the hyperplane orthogonal to the
-prediction step.  Loops close when the trace re-crosses the starting
-hyperplane next to the start point; open branches stop when the chart
-boundary margin drops below the floor, which the geometry legitimately
-produces (degenerating rectangles, spiral paths), so it is a termination
-state and not an error.
+prediction step.  The corrector reads (F, J) from ``system.linearize`` and
+hands the J at the accepted point to the next tangent; one bisection loop
+serves closure, boundary and event location.  Loops close when the trace
+re-crosses the starting hyperplane next to the start point; open branches
+stop when the chart boundary margin drops below the floor, which the
+geometry legitimately produces (degenerating rectangles, spiral paths), so
+it is a termination state and not an error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .circle import wrap
 from .errors import ConvergenceError
+from .residuals import central_difference
 from .solvers import refine
 
 _RANK_TOL = 1e-8
@@ -113,11 +116,9 @@ def chain_distance(system, chain, q):
     return float(min(np.min(point_d), np.min(seg_d)))
 
 
-def _tangent(system, z, prev=None):
-    """Unit null vector of the Jacobian; returns (tangent, deficient flag)."""
-    J = system.jacobian(z)
+def _tangent(J, prev=None):
+    """Unit null vector of the Jacobian J; returns (tangent, deficient flag)."""
     U, S, Vt = np.linalg.svd(J)
-    m = z.shape[-1]
     rank = int(np.sum(S > _RANK_TOL * S[0])) if S[0] > 0 else 0
     null = Vt[rank:]
     deficient = null.shape[0] > 1
@@ -149,15 +150,16 @@ def _tangent(system, z, prev=None):
 
 
 def _correct(system, pred, tau, tol, max_iter=25):
+    """Newton in the hyperplane through pred orthogonal to tau; returns the
+    corrected point and the Jacobian there."""
     w = np.array(pred, dtype=float)
     for _ in range(max_iter):
-        F = system.residual(w)
+        F, J = system.linearize(w)
         if not np.all(np.isfinite(F)):
             raise ConvergenceError("residual not finite during correction")
         g = float(tau @ (w - pred))
         if np.linalg.norm(F) <= tol and abs(g) <= tol:
-            return w
-        J = system.jacobian(w)
+            return w, J
         A = np.vstack([J, tau[None, :]])
         b = -np.concatenate([F, [g]])
         try:
@@ -167,9 +169,9 @@ def _correct(system, pred, tau, tol, max_iter=25):
         w = w + step
         if np.linalg.norm(step) < 1e-15:
             break
-    F = system.residual(w)
+    F, J = system.linearize(w)
     if np.linalg.norm(F) <= tol:
-        return w
+        return w, J
     raise ConvergenceError("corrector did not converge")
 
 
@@ -185,7 +187,7 @@ def _trace_direction(system, z0, tau0, settings):
         while True:
             pred = z + h * tau
             try:
-                w = _correct(system, pred, tau, settings.corrector_tol)
+                w, J = _correct(system, pred, tau, settings.corrector_tol)
                 if chart_distance(system, w, z) > 3.0 * h + 1e-12:
                     raise ConvergenceError("corrector jumped off the local sheet")
                 break
@@ -220,7 +222,7 @@ def _trace_direction(system, z0, tau0, settings):
                     return samples, "closed"
         prev_side = side if len(samples) > 3 else 0.0
         try:
-            tau, _ = _tangent(system, w, prev=tau)
+            tau, _ = _tangent(J, prev=tau)
         except ConvergenceError:
             return samples, "stalled"
         z = w
@@ -231,53 +233,52 @@ def _trace_direction(system, z0, tau0, settings):
     return samples, "max_steps"
 
 
+def _bisect(system, a, b, on_a_side, stop, max_iter, settings):
+    """Halve the branch segment [a, b] until its ends are within stop; each
+    midpoint, corrected onto the branch, replaces a if ``on_a_side(mid)``
+    and b otherwise.  Returns (a, b, ok), ok False if the corrector failed."""
+    a, b = np.array(a), np.array(b)
+    for _ in range(max_iter):
+        if chart_distance(system, a, b) <= stop:
+            break
+        chord = chart_diff(system, b, a)
+        tau = chord / np.linalg.norm(chord)
+        try:
+            mid, _ = _correct(system, a + 0.5 * chord, tau, settings.corrector_tol)
+        except ConvergenceError:
+            return a, b, False
+        if on_a_side(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b, True
+
+
 def _plane_hit(system, za, zb, z0, tau0, settings):
     """Bisect the branch segment [za, zb] onto the hyperplane through z0
     orthogonal to tau0; returns the on-branch crossing point or None."""
-    a, b = np.array(za), np.array(zb)
-    fa = float(tau0 @ chart_diff(system, a, z0))
-    for _ in range(60):
-        if chart_distance(system, a, b) < 1e-12:
-            break
-        chord = chart_diff(system, b, a)
-        norm = np.linalg.norm(chord)
-        if norm == 0.0:
-            break
-        try:
-            mid = _correct(system, a + 0.5 * chord, chord / norm, settings.corrector_tol)
-        except ConvergenceError:
-            return None
-        fm = float(tau0 @ chart_diff(system, mid, z0))
-        if (fm < 0) == (fa < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return a
+
+    def below(z):
+        return float(tau0 @ chart_diff(system, z, z0)) < 0
+
+    side = below(za)
+    a, _, ok = _bisect(system, za, zb, lambda z: below(z) == side, 1e-12, 60, settings)
+    return a if ok else None
 
 
 def _boundary_hit(system, inside, outside, settings):
     """Bisect the branch between an interior and an exterior sample so the
     final recorded point sits at (roughly) the boundary floor."""
-    a, b = np.array(inside), np.array(outside)
-    for _ in range(40):
-        if chart_distance(system, a, b) < 0.25 * settings.boundary_floor:
-            break
-        chord = chart_diff(system, b, a)
-        tau = chord / np.linalg.norm(chord)
-        try:
-            mid = _correct(system, a + 0.5 * chord, tau, settings.corrector_tol)
-        except ConvergenceError:
-            break
-        if system.boundary_margins(mid[None])[0] < settings.boundary_floor:
-            b = mid
-        else:
-            a = mid
-    if system.boundary_margins(a[None])[0] >= 0.0:
-        return a
-    return None
+    floor = settings.boundary_floor
+
+    def inside_floor(z):
+        return not system.boundary_margins(z[None])[0] < floor
+
+    a, _, _ = _bisect(system, inside, outside, inside_floor, 0.25 * floor, 40, settings)
+    return a if system.boundary_margins(a[None])[0] >= 0.0 else None
 
 
-def trace_branch(system, z0, settings=None, events=None, bidirectional=True):
+def trace_branch(system, z0, settings=None, events=None):
     """Trace the connected zero-set component through z0.
 
     events maps kind -> scalar function of the chart point; sign changes are
@@ -286,24 +287,22 @@ def trace_branch(system, z0, settings=None, events=None, bidirectional=True):
     """
     settings = settings or TraceSettings()
     z0 = refine(system, np.asarray(z0, dtype=float), tol=settings.corrector_tol)
-    tau0, deficient = _tangent(system, z0)
+    tau0, deficient = _tangent(system.jacobian(z0))
     fwd, term = _trace_direction(system, z0, tau0, settings)
     if term == "stalled" and deficient and not isinstance(system, PerturbedSystem):
         # symmetric family stalled the tracer: retry with the boundary-decaying
         # transversality perturbation switched on
         perturbed = PerturbedSystem(system, seed=settings.seed)
-        return trace_branch(perturbed, z0, settings, events, bidirectional)
+        return trace_branch(perturbed, z0, settings, events)
     if term == "closed":
         points, termination, closed = np.array(fwd), "closed", True
-    elif bidirectional:
+    else:
         bwd, term_b = _trace_direction(system, z0, -tau0, settings)
         if term_b == "closed":
             points, termination, closed = np.array(bwd), "closed", True
         else:
             points = np.array(list(reversed(bwd[1:])) + fwd)
             termination, closed = f"{term_b}/{term}", False
-    else:
-        points, termination, closed = np.array(fwd), term, False
 
     branch = Branch(system=system, points=points, closed=closed, termination=termination)
     if closed and hasattr(system, "star_base_z"):
@@ -314,7 +313,7 @@ def trace_branch(system, z0, settings=None, events=None, bidirectional=True):
     if termination.startswith("boundary") or termination.endswith("boundary"):
         if termination.endswith("boundary"):
             branch.events.append(Event("boundary_approach", points[-1], len(points) - 1))
-        if termination.startswith("boundary") and not closed and bidirectional:
+        if termination.startswith("boundary") and not closed:
             branch.events.append(Event("boundary_approach", points[0], 0))
     return branch
 
@@ -404,23 +403,13 @@ def _locate_events(system, points, event_fns, settings, closed=False, definite=1
 
 
 def _bisect_event(system, za, zb, fn, settings, tol=1e-10):
-    fa = float(fn(za[None])[0])
-    a, b = np.array(za), np.array(zb)
-    for _ in range(80):
-        if chart_distance(system, a, b) <= tol:
-            break
-        chord = chart_diff(system, b, a)
-        tau = chord / np.linalg.norm(chord)
-        mid = a + 0.5 * chord
-        try:
-            mid = _correct(system, mid, tau, settings.corrector_tol)
-        except ConvergenceError:
-            break
-        fm = float(fn(mid[None])[0])
-        if (fm < 0) == (fa < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
+    """The on-branch sign change of fn between samples za and zb."""
+
+    def negative(z):
+        return float(fn(z[None])[0]) < 0
+
+    side = negative(za)
+    a, b, _ = _bisect(system, za, zb, lambda z: negative(z) == side, tol, 80, settings)
     return a + 0.5 * chart_diff(system, b, a)
 
 
@@ -454,22 +443,18 @@ class PerturbedSystem:
         ang = 2.0 * np.pi * (z @ self._freq.T + self._phase)
         return np.sin(ang)
 
+    def _bump(self, z):
+        return self.delta * self.base.boundary_margins(z)[..., None] * self._field(z)
+
     def residual(self, z):
         z = np.asarray(z, dtype=float)
-        m = self.base.boundary_margins(z)
-        return self.base.residual(z) + self.delta * m[..., None] * self._field(z)
-
-    def jacobian(self, z, step=1e-7):
-        z = np.asarray(z, dtype=float)
-        cols = []
-        for i in range(z.shape[-1]):
-            e = np.zeros_like(z)
-            e[..., i] = step
-            pa = self.base.boundary_margins(z + e)[..., None] * self._field(z + e)
-            pb = self.base.boundary_margins(z - e)[..., None] * self._field(z - e)
-            cols.append(self.delta * (pa - pb) / (2 * step))
-        return self.base.jacobian(z) + np.stack(cols, axis=-1)
+        return self.base.residual(z) + self._bump(z)
 
     def linearize(self, z):
-        # defined here so attribute delegation cannot hand out the base's
-        return self.residual(z), self.jacobian(z)
+        z = np.asarray(z, dtype=float)
+        F, J = self.base.linearize(z)
+        return F + self._bump(z), J + central_difference(self._bump, z, 1e-7)
+
+    # defined here so attribute delegation cannot hand out the base's
+    def jacobian(self, z):
+        return self.linearize(z)[1]

@@ -17,7 +17,8 @@ from pegfinder import (
 )
 from pegfinder.polygons import orbit_dist, from_vertices
 from pegfinder.solvers import gauss_newton_batch
-from pegfinder.tracing import PerturbedSystem, chain_distance
+from pegfinder.residuals import central_difference
+from pegfinder.tracing import PerturbedSystem, _correct, _tangent, chain_distance
 
 
 @pytest.fixture(scope="module")
@@ -170,12 +171,37 @@ def test_perturbed_system_scaling(ellipse):
     z = np.array([0.1, 0.2, 0.3, 0.25])
     diff = np.linalg.norm(pert.residual(z) - sq.residual(z))
     assert 0 < diff < 1e-6
-    rel = np.max(np.abs(pert.jacobian(z) - pert.numeric_jacobian(z)))
-    assert rel < 1e-5
+    # against a central difference of the perturbed residual itself (its
+    # numeric_jacobian would resolve to the base's and miss the perturbation)
+    for delta in (1e-7, 1e-3):
+        p = PerturbedSystem(sq, delta=delta, seed=3)
+        rel = np.max(np.abs(p.jacobian(z) - central_difference(p.residual, z, 1e-6)))
+        assert rel < 1e-7
     # decays with the boundary margin
     z_edge = np.array([0.1, 1e-6, 0.5, 0.25])
     diff_edge = np.linalg.norm(pert.residual(z_edge) - sq.residual(z_edge))
     assert diff_edge < 1e-12
+
+
+def test_perturbed_system_owns_its_derivatives(ellipse):
+    # attribute delegation must not hand out the unperturbed base's jacobian
+    sq = SquareSystem(ellipse)
+    pert = PerturbedSystem(sq, delta=1e-3, seed=3)
+    z = np.array([0.1, 0.2, 0.3, 0.25])
+    F, J = pert.linearize(z)
+    assert np.array_equal(F, pert.residual(z))
+    assert np.array_equal(J, pert.jacobian(z))
+    assert not np.array_equal(pert.jacobian(z), sq.jacobian(z))
+
+
+def test_corrector_returns_jacobian_at_its_point(ellipse, settings):
+    sys = EdgeRatioSystem(ellipse, 4)
+    br = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings)
+    z = br.points[len(br) // 2]
+    tau, _ = _tangent(sys.jacobian(z))
+    w, J = _correct(sys, z + 1e-3 * tau, tau, settings.corrector_tol)
+    assert np.linalg.norm(sys.residual(w)) <= settings.corrector_tol
+    assert np.array_equal(J, sys.jacobian(w))
 
 
 def test_asymmetric_branches_isotropy_one_and_contractible_windings(settings):

@@ -85,6 +85,10 @@ def test_polyline_validation():
         PolylineCurve([[0, 0], [1, 0]])
     with pytest.raises(DomainError):
         PolylineCurve([[0, 0], [0, 0], [1, 1]])
+    with pytest.raises(DomainError, match="collinear"):
+        PolylineCurve([[0, 0], [1, 0], [2, 0]])
+    with pytest.raises(DomainError, match="no area"):
+        PolylineCurve([[0, 0], [1, 0], [1, 1], [1, 0]])  # a doubled chain
 
 
 def test_field_from_curve_matches_chord(circle, trefoil, rng):
@@ -109,9 +113,9 @@ def test_chordal_pair_dists_match_generic_path(name, params):
     V = np.sort(rng.uniform(size=(64, 4)), axis=-1)
     V = V[np.min(np.diff(V, axis=-1), axis=-1) > 1e-3]
     assert np.allclose(f.pair_dists(V, pairs), DistanceField.pair_dists(f, V, pairs), rtol=1e-14, atol=0)
-    G = f.pair_dists_grad(V, pairs)
+    G = f.pair_dists_and_grad(V, pairs)[1]
     assert G.shape == V.shape[:1] + (len(pairs), 4)
-    assert np.allclose(G, DistanceField.pair_dists_grad(f, V, pairs), rtol=1e-9, atol=1e-12)
+    assert np.allclose(G, DistanceField.pair_dists_and_grad(f, V, pairs)[1], rtol=1e-9, atol=1e-12)
 
 
 def test_corpus_determinism():

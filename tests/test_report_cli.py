@@ -100,6 +100,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # with a one-line message instead of a traceback
     (tmp_path / "broken.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[1, 2]")
+    for name, verts in (("collinear", [[0, 0], [1, 0], [2, 0]]), ("doubled", [[0, 0], [1, 0], [1, 1], [1, 0]])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"kind": "polyline", "vertices": verts}))
     for argv in (
         ["find-square", "--corpus", "ellipse", "--a", "foo"],
         ["find-square", "--curve", "missing.json"],
@@ -118,6 +120,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         # degenerate curves are rejected when they are built
         ["find-square", "--corpus", "ellipse", "--a", "0", "--b", "0"],
         ["find-square", "--corpus", "ellipse", "--a", "1", "--b", "0"],
+        ["find-square", "--curve", "collinear.json"],
+        ["find-square", "--curve", "doubled.json"],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv

@@ -388,21 +388,39 @@ def test_jacobians_triangle_and_slice_and_octahedron(rng):
         assert rel < 1e-5
 
 
+def _polygon_charts(n):
+    def sample(rng):
+        g = rng.dirichlet([4] * n, size=40)
+        return np.column_stack([rng.uniform(size=40), g[:, : n - 1]])
+
+    return sample
+
+
+def _slice_charts(rng):
+    u = rng.dirichlet([3, 3, 3], size=40) * 0.3
+    return np.column_stack([rng.uniform(size=40), u[:, :2]])
+
+
+def _sphere_charts(rng):
+    q = rng.normal(size=(40, 6, 3))
+    return (q / np.linalg.norm(q, axis=-1, keepdims=True)).reshape(40, 18)
+
+
 @pytest.mark.parametrize(
-    "factory, n",
+    "factory, charts",
     [
-        (lambda: SquareSystem(corpus("fourier-random", seed=3)), 4),
-        (lambda: EdgeRatioSystem(corpus("ellipse"), 5, [1.0, 1.2, 0.8, 1.1]), 5),
-        (lambda: ParallelogramSystem(corpus("ellipse"), 2.0), 4),
-        (lambda: TriangleSystem(corpus("field-random", seed=4)), 3),
+        (lambda: SquareSystem(corpus("fourier-random", seed=3)), _polygon_charts(4)),
+        (lambda: EdgeRatioSystem(corpus("ellipse"), 5, [1.0, 1.2, 0.8, 1.1]), _polygon_charts(5)),
+        (lambda: ParallelogramSystem(corpus("ellipse"), 2.0), _polygon_charts(4)),
+        (lambda: TriangleSystem(corpus("field-random", seed=4)), _polygon_charts(3)),
+        (lambda: SpecialQuadSliceSystem(corpus("ellipse", a=2, b=1), 0.3), _slice_charts),
+        (lambda: OctahedronSystem(corpus("scaled-sphere", lz=0.5)), _sphere_charts),
     ],
-    ids=["square", "ratio5", "parallelogram", "triangle-field"],
+    ids=["square", "ratio5", "parallelogram", "triangle-field", "special-slice", "octahedron"],
 )
-def test_linearize_is_residual_and_jacobian_bit_for_bit(factory, n):
+def test_linearize_is_residual_and_jacobian_bit_for_bit(factory, charts):
     sys = factory()
-    rng = np.random.default_rng(5)
-    g = rng.dirichlet([4] * n, size=40)
-    Z = np.column_stack([rng.uniform(size=40), g[:, : n - 1]])
+    Z = charts(np.random.default_rng(5))
     F, J = sys.linearize(Z)
     assert np.array_equal(F, sys.residual(Z))
     assert np.array_equal(J, sys.jacobian(Z))
