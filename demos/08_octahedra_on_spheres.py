@@ -3,7 +3,9 @@
 On the sphere scaled by 1/2 along z, the inscribed regular octahedra form a
 single rotation family up to relabeling; as labeled configurations they make
 up exactly 16 disjoint circles (one third of the 48 labelings, since the
-threefold axis along z identifies labelings in triples).
+threefold axis along z identifies labelings in triples).  The 16 circles
+are one orbit of the label group, so the search traces a single circle and
+obtains the other 15 as its label images ("traced directly" reports 1).
 """
 
 import pathlib

@@ -1,9 +1,13 @@
-"""Worker-count control: PEGFINDER_THREADS caps the thread pool size."""
+"""Worker-count record for the benchmark's environment report.
+
+pegfinder runs in one thread; nothing in the package reads this.  It stays
+only because ``perfbench/run.py`` records ``worker_count()`` with every run,
+until a benchmark-only change drops that import.
+"""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
@@ -14,13 +18,3 @@ def worker_count() -> int:
         except ValueError:
             pass
     return min(4, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Map preserving order; results are merged deterministically."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

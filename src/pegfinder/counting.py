@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._threads import parallel_map
 from .curves import ClosedCurve, signed_area
 from .errors import NonIsolatedSolutionsError
-from .polygons import PolygonParam, cyclic_shift, orbit_dist, param_dist, vertices
+from .polygons import PolygonParam, cyclic_shift, param_dist, vertices
 from .residuals import RectangleSystem, SpecialQuadSliceSystem, SquareSystem
 from .searches import (
     FAMILY_RANK_TOL,
@@ -27,6 +26,7 @@ from .searches import (
     find_square,
     polygon_seed_grid,
     simplex_lattice,
+    square_orbits,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
 from .tracing import TraceSettings, trace_branch
@@ -72,9 +72,7 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
     settings = settings or TraceSettings()
     sq = SquareSystem(curve)
     seeds = polygon_seed_grid(4, nx, m, sq.symmetry_order)
-    zeros = gauss_newton_batch(sq, seeds, tol=1e-11, prune_after=1, prune_level=0.6)
-    reps = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
-    conditions = [smallest_singular_ratio(sq, sq.from_param(p)) for p in reps]
+    reps, conditions, close_pairs = square_orbits(sq, seeds, prune_after=1, prune_level=0.6)
     notes = []
     flagged = [i for i, c in enumerate(conditions) if c < FAMILY_RANK_TOL]
     if flagged:
@@ -86,12 +84,6 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
                 "examples": [_param_dict(reps[i]) for i in flagged[:3]],
             },
         )
-    close_pairs = [
-        (i, j)
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-        if orbit_dist(reps[i], reps[j]) < 1e-2
-    ]
     if close_pairs:
         raise NonIsolatedSolutionsError(
             "converged squares smear along a family instead of separating",
@@ -198,27 +190,22 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
                 return comp
         return None
 
-    def trace_component(p_lab):
-        br = trace_branch(
-            rect, rect.from_param(p_lab), settings, events={"square_on_branch": rect.fatness}
-        )
-        squares = []
-        for ev in br.events:
-            if ev.kind != "square_on_branch":
-                continue
-            zq = refine(sq, ev.z, tol=1e-10)
-            squares.append(sq.to_param(zq))
-        return br, squares
-
-    # one orbit at a time: its four labeled traces are independent workers
-    # (PEGFINDER_THREADS caps the pool); merging stays in label order
+    # one labeled square at a time, in label order: a labeling already on a
+    # traced component is not traced again
     for orbit in report.orbits:
         p0 = PolygonParam(orbit["base"], orbit["gaps"])
-        labeled = [cyclic_shift(p0, k) for k in range(4)]
-        todo = [p for p in labeled if containing(p) is None]
-        for p_lab, (br, squares) in zip(todo, parallel_map(trace_component, todo)):
+        for k in range(4):
+            p_lab = cyclic_shift(p0, k)
             if containing(p_lab) is not None:
-                continue  # an earlier worker's component already covers it
+                continue
+            br = trace_branch(
+                rect, rect.from_param(p_lab), settings, events={"square_on_branch": rect.fatness}
+            )
+            squares = [
+                sq.to_param(refine(sq, ev.z, tol=1e-10))
+                for ev in br.events
+                if ev.kind == "square_on_branch"
+            ]
             components.append(
                 {
                     "branch": br,

@@ -154,20 +154,22 @@ def enumerate_branches(system, seeds, settings=None, events=None, max_branches=3
 # --- squares -----------------------------------------------------------------
 
 
-def multistart_squares(curve, nx=24, m=16, tol=1e-11):
-    """Distinct square orbits from batched Newton; also reports family symptoms."""
-    sq = SquareSystem(curve)
-    zeros = gauss_newton_batch(sq, polygon_seed_grid(4, nx, m), tol=tol)
+def square_orbits(sq, seeds, **gn_kwargs):
+    """Distinct square orbits from batched Newton on the given chart seeds.
+
+    Returns (orbit representatives, Jacobian condition ratios, index pairs of
+    representatives closer than 1e-2): a small ratio or a close pair is the
+    symptom of a square family rather than isolated squares.
+    """
+    zeros = gauss_newton_batch(sq, seeds, tol=1e-11, **gn_kwargs)
     reps = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
     conditions = [smallest_singular_ratio(sq, sq.from_param(p)) for p in reps]
-    family = any(c < FAMILY_RANK_TOL for c in conditions) or _smeared(reps)
-    return reps, conditions, family
-
-
-def _smeared(reps, separation=1e-2):
-    return any(
-        orbit_dist(a, b) < separation for a, b in itertools.combinations(reps, 2)
-    )
+    close_pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(reps)), 2)
+        if orbit_dist(reps[i], reps[j]) < 1e-2
+    ]
+    return reps, conditions, close_pairs
 
 
 def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
@@ -180,7 +182,8 @@ def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
     sq = SquareSystem(curve)
     er = EdgeRatioSystem(curve, 4)
 
-    newton_reps, conditions, family = multistart_squares(curve, nx=nx, m=m)
+    newton_reps, conditions, close_pairs = square_orbits(sq, polygon_seed_grid(4, nx, m))
+    family = any(c < FAMILY_RANK_TOL for c in conditions) or bool(close_pairs)
 
     seeds = polygon_seed_grid(4, 10, 8)
     branches = enumerate_branches(
@@ -495,11 +498,14 @@ def _octahedron_seed(rng):
     return verts
 
 
-def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40, max_components=20):
+def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
     """All regular-octahedron solution circles on a scaled sphere.
 
-    Traces circles from rotated-octahedron seeds, closes the set under the
-    48-element label symmetry group, and deduplicates components.
+    Each solution circle is traced once per orbit of the 48-element label
+    symmetry group: a converged seed is skipped when it lies on a known
+    component, and a newly traced closed circle adds every label image that
+    is not already known.  On the z-scaled sphere the 16 circles form one
+    orbit, so a single trace finds them all.
     """
     settings = settings or TraceSettings()
     if sphere.is_round:
@@ -520,37 +526,36 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40, max_compon
         sys, np.array(seeds), tol=settings.corrector_tol * 0.5, max_iter=120, prune_level=5.0
     )
     membership_tol = 2.0 * settings.step_max
-    traced = []
+
+    def known(z):
+        return any(chain_distance(sys, c.points, z) < membership_tol for c in components)
+
+    components = []
+    traced = 0
     for z in zeros:
-        if any(chain_distance(sys, br.points, z) < membership_tol for br in traced):
+        if known(z):
             continue
         try:
             br = trace_branch(sys, z, settings)
         except ConvergenceError:
             continue
-        if br.closed:
-            traced.append(br)
-        if len(traced) >= max_components:
-            break
-    if not traced:
-        raise SearchFailure("no octahedron circle found from the seed population", {"seeds": n_seeds})
-
-    # close under the label symmetry group, then deduplicate components
-    components = []
-    for br in traced:
+        if not br.closed:
+            continue
+        traced += 1
         for sigma in octahedron_group():
             pts = sys.apply_label_permutation(br.points, sigma)
-            if any(chain_distance(sys, c.points, pts[0]) < membership_tol for c in components):
-                continue
-            components.append(
-                Branch(system=sys, points=pts, closed=br.closed, termination=br.termination)
-            )
+            if not known(pts[0]):
+                components.append(
+                    Branch(system=sys, points=pts, closed=True, termination=br.termination)
+                )
+    if not components:
+        raise SearchFailure("no octahedron circle found from the seed population", {"seeds": n_seeds})
     residuals = [
         float(np.max(np.linalg.norm(sys.residual(c.points), axis=-1))) for c in components
     ]
     info = {
         "components": len(components),
-        "traced_directly": len(traced),
+        "traced_directly": traced,
         "max_residual": max(residuals),
     }
     return components, info

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circle import wrap
 from .errors import ConvergenceError
-from .residuals import central_difference
+from .residuals import ResidualSystem, central_difference
 from .solvers import refine
 
 _RANK_TOL = 1e-8
@@ -310,11 +310,10 @@ def trace_branch(system, z0, settings=None, events=None):
     if closed and system.symmetry_order > 1 and hasattr(system, "shift_z"):
         branch.isotropy_order = _isotropy(system, branch, settings)
     branch.events = _locate_events(system, points, events or {}, settings, closed=closed)
-    if termination.startswith("boundary") or termination.endswith("boundary"):
-        if termination.endswith("boundary"):
-            branch.events.append(Event("boundary_approach", points[-1], len(points) - 1))
-        if termination.startswith("boundary") and not closed:
-            branch.events.append(Event("boundary_approach", points[0], 0))
+    if termination.endswith("boundary"):
+        branch.events.append(Event("boundary_approach", points[-1], len(points) - 1))
+    if termination.startswith("boundary"):
+        branch.events.append(Event("boundary_approach", points[0], 0))
     return branch
 
 
@@ -413,14 +412,16 @@ def _bisect_event(system, za, zb, fn, settings, tol=1e-10):
     return a + 0.5 * chart_diff(system, b, a)
 
 
-class PerturbedSystem:
+class PerturbedSystem(ResidualSystem):
     """Residual plus a boundary-decaying deterministic pseudo-random field.
 
     Breaks rank deficiency along symmetric families so the tracer can
     proceed; the magnitude delta * boundary_margin(z) vanishes at the chart
     boundary, leaving the exact zeros of symmetric corpus curves untouched
     whenever the unperturbed trace succeeds (the wrapper is only engaged
-    after a stall).
+    after a stall).  Every ``ResidualSystem`` method binds to the perturbed
+    residual; only chart attributes (``to_param``, ``star_base_z``, ...)
+    are forwarded to the base.
     """
 
     def __init__(self, base, delta=1e-7, seed=0):
@@ -455,6 +456,5 @@ class PerturbedSystem:
         F, J = self.base.linearize(z)
         return F + self._bump(z), J + central_difference(self._bump, z, 1e-7)
 
-    # defined here so attribute delegation cannot hand out the base's
-    def jacobian(self, z):
-        return self.linearize(z)[1]
+    def boundary_margins(self, z):
+        return self.base.boundary_margins(z)

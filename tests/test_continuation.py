@@ -171,8 +171,7 @@ def test_perturbed_system_scaling(ellipse):
     z = np.array([0.1, 0.2, 0.3, 0.25])
     diff = np.linalg.norm(pert.residual(z) - sq.residual(z))
     assert 0 < diff < 1e-6
-    # against a central difference of the perturbed residual itself (its
-    # numeric_jacobian would resolve to the base's and miss the perturbation)
+    # against a central difference of the perturbed residual itself
     for delta in (1e-7, 1e-3):
         p = PerturbedSystem(sq, delta=delta, seed=3)
         rel = np.max(np.abs(p.jacobian(z) - central_difference(p.residual, z, 1e-6)))
@@ -192,6 +191,10 @@ def test_perturbed_system_owns_its_derivatives(ellipse):
     assert np.array_equal(F, pert.residual(z))
     assert np.array_equal(J, pert.jacobian(z))
     assert not np.array_equal(pert.jacobian(z), sq.jacobian(z))
+    # inherited ResidualSystem methods see the perturbed residual, too
+    assert np.max(np.abs(pert.numeric_jacobian(z) - pert.jacobian(z))) < 1e-7
+    assert pert.boundary_margin(z) == sq.boundary_margin(z)
+    assert pert.guard(z) == sq.guard(z)
 
 
 def test_corrector_returns_jacobian_at_its_point(ellipse, settings):

@@ -179,6 +179,8 @@ def test_octahedra_scaled_sphere_sixteen_circles():
     sph = corpus("scaled-sphere", lz=0.5)
     comps, info = find_octahedra(sph, TraceSettings())
     assert info["components"] == 16
+    # the 16 circles are one orbit of the label group: one trace finds them
+    assert info["traced_directly"] == 1
     assert info["max_residual"] < 1e-8
     sys = OctahedronSystem(sph)
     # twelve equal edges at every first sample
@@ -190,6 +192,10 @@ def test_octahedra_scaled_sphere_sixteen_circles():
     for sigma in [octahedron_group()[k] for k in rng.integers(0, 48, size=6)]:
         pts = sys.apply_label_permutation(comps[0].points, sigma)
         assert min(chain_distance(sys, c.points, pts[0]) for c in comps) < 2e-2
+    # and every found branch is a label image of the first one
+    images = [sys.apply_label_permutation(comps[0].points[0], s) for s in octahedron_group()]
+    for c in comps:
+        assert min(chain_distance(sys, c.points, q) for q in images) < 2e-2
 
 
 def test_octahedra_round_sphere_rejected():
