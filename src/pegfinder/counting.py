@@ -18,14 +18,13 @@ import numpy as np
 
 from .curves import ClosedCurve, signed_area
 from .errors import NonIsolatedSolutionsError
-from .polygons import PolygonParam, cyclic_shift, param_dist, vertices
+from .polygons import PolygonParam, cyclic_shift, param_dict, param_dist, vertices
 from .residuals import RectangleSystem, SpecialQuadSliceSystem, SquareSystem
 from .searches import (
     FAMILY_RANK_TOL,
     dedup_orbits,
     find_square,
     polygon_seed_grid,
-    simplex_lattice,
     square_orbits,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
@@ -67,7 +66,9 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
     grid with a quarter of its seeds.  ``resolution`` records
     (nx, m, seeds run, symmetry order).  Curves whose squares are not
     isolated (the round circle) are rejected with a family diagnostic
-    rather than silently massaged.
+    rather than silently massaged.  Any ``DistanceField`` may stand in for
+    the curve; ``ccw_square_labeling`` is then None, as it is on space
+    curves.
     """
     settings = settings or TraceSettings()
     sq = SquareSystem(curve)
@@ -81,7 +82,7 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
             "deficient at converged squares (rotational family)",
             {
                 "condition_ratios": [conditions[i] for i in flagged],
-                "examples": [_param_dict(reps[i]) for i in flagged[:3]],
+                "examples": [param_dict(reps[i]) for i in flagged[:3]],
             },
         )
     if close_pairs:
@@ -89,11 +90,12 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
             "converged squares smear along a family instead of separating",
             {"close_pairs": close_pairs},
         )
+    planar = sq.curve is not None and sq.curve.ambient_dim == 2
     orbits = [
         {
-            **_param_dict(p),
+            **param_dict(p),
             "jacobian_condition_ratio": c,
-            "ccw_square_labeling": orientation_check(curve, p) if curve.ambient_dim == 2 else None,
+            "ccw_square_labeling": orientation_check(sq.curve, p) if planar else None,
         }
         for p, c in zip(reps, conditions)
     ]
@@ -110,10 +112,6 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
     )
 
 
-def _param_dict(p: PolygonParam):
-    return {"base": p.base, "gaps": p.gaps.tolist(), "vertices": vertices(p).tolist()}
-
-
 def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, verify_square=True):
     """Count special quadrilaterals of a given size on the slice system.
 
@@ -124,11 +122,8 @@ def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, veri
     """
     settings = settings or TraceSettings()
     sys = SpecialQuadSliceSystem(source, eps, path)
-    shapes = simplex_lattice(3, m)[:, :2] * eps
-    ts = (np.arange(nt) + 0.5) / nt
-    seeds = np.empty((len(ts) * len(shapes), 3))
-    seeds[:, 0] = np.repeat(ts, len(shapes))
-    seeds[:, 1:] = np.tile(shapes, (nt, 1))
+    seeds = polygon_seed_grid(3, nt, m)
+    seeds[:, 1:] *= eps  # both free arcs inside the size-eps window
     zeros = gauss_newton_batch(
         sys, seeds, tol=1e-11, margin_floor=min(1e-6, eps * 1e-4)
     )
@@ -149,7 +144,7 @@ def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, veri
         if curve is not None:
             square, prov = find_square(curve, settings)
             verdicts["square_exists"] = True
-            verdicts["square"] = _param_dict(square)
+            verdicts["square"] = param_dict(square)
             verdicts["consistent"] = True
         else:
             notes.append("even parity implies a metric square exists; not searched for plain fields")
@@ -244,7 +239,7 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
             "closed": c["closed"],
             "isotropy": c["isotropy"],
             "square_events": c["square_events"],
-            "squares": [_param_dict(s) for s in c["squares"]],
+            "squares": [param_dict(s) for s in c["squares"]],
             "termination": c["branch"].termination,
         }
         for c in components

@@ -117,10 +117,14 @@ class PolylineCurve(ClosedCurve):
         seglen = np.linalg.norm(seg, axis=1)
         if np.any(seglen == 0.0):
             raise DomainError("consecutive polyline vertices must be distinct")
-        if np.linalg.matrix_rank(v - v.mean(axis=0)) < 2:
+        centered = v - v.mean(axis=0)
+        rank = np.linalg.matrix_rank(centered)
+        if rank < 2:
             raise DomainError("polyline vertices are collinear")
-        if v.shape[1] == 2 and not _encloses_area(v, seg):
-            raise DomainError("planar polyline encloses no area")
+        if rank == 2:  # tested in coordinates of its own plane (R^2 as given)
+            plane = v if v.shape[1] == 2 else centered @ np.linalg.svd(centered, full_matrices=False)[2][:2].T
+            if not _encloses_area(plane):
+                raise DomainError("planar polyline encloses no area")
         self.vertices = v
         self.ambient_dim = v.shape[1]
         self._seg = seg
@@ -149,20 +153,25 @@ class PolylineCurve(ClosedCurve):
         }
 
 
-def _encloses_area(v, seg):
+def _encloses_area(v):
     """False for a planar chain that retraces itself (winding number zero
     everywhere).  A shoelace area above 1e-12 box diagonal^2 settles it;
     otherwise (a doubled chain, or lobes that cancel as in a figure eight)
-    the winding number just beside each segment midpoint decides."""
+    the winding number just beside each segment midpoint decides, probing
+    both sides of a segment before the next and stopping at the first
+    enclosed probe (a chain that encloses nothing checks all 2n)."""
+    nxt = np.roll(v, -1, axis=0)
+    seg = nxt - v
     if abs(np.sum(v[:, 0] * seg[:, 1] - seg[:, 0] * v[:, 1])) > 2e-12 * np.sum(np.ptp(v, axis=0) ** 2):
         return True
     side = 1e-6 * np.stack([-seg[:, 1], seg[:, 0]], axis=-1)
-    probes = np.concatenate([v + 0.5 * seg + side, v + 0.5 * seg - side])
-    turn = np.zeros(len(probes))
-    for p, q in zip(v, np.roll(v, -1, axis=0)):
-        a, b = p - probes, q - probes
-        turn += np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.sum(a * b, axis=-1))
-    return bool(np.any(np.abs(turn) > np.pi))
+    mid = v + 0.5 * seg
+    for probe in np.stack([mid + side, mid - side], axis=1).reshape(-1, 2):
+        a, b = v - probe, nxt - probe
+        turn = np.sum(np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.sum(a * b, axis=-1)))
+        if abs(turn) > np.pi:
+            return True
+    return False
 
 
 class EmbeddedSphere:

@@ -94,6 +94,11 @@ def cyclic_shift(p: PolygonParam, k: int = 1) -> PolygonParam:
     return PolygonParam(p.base + cum[k], np.roll(p.gaps, -k))
 
 
+def param_dict(p: PolygonParam) -> dict:
+    """JSON form of a parameter: base, gaps and vertex parameters."""
+    return {"base": p.base, "gaps": p.gaps.tolist(), "vertices": vertices(p).tolist()}
+
+
 def star_base(p: PolygonParam) -> float:
     n = p.n
     weights = (n - np.arange(1, n)) / n

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polygons import PolygonParam, vertices
+from .polygons import PolygonParam, param_dict
 from .tracing import Branch
 
 TOOL_VERSION = "0.1.0"
@@ -33,7 +33,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, PolygonParam):
-        return {"base": obj.base, "gaps": obj.gaps.tolist(), "vertices": vertices(obj).tolist()}
+        return param_dict(obj)
     if isinstance(obj, Branch):
         return branch_dict(obj)
     if obj is None or isinstance(obj, str):

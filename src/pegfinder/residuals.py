@@ -9,10 +9,14 @@ its Jacobian from one pass (``jacobian`` is its J); ``PolygonSystem``
 implements both once, and the parallelogram (midpoints are not distances),
 the special-quadrilateral slice and the octahedron keep their own.
 
-Charts (flat coordinate vectors z for the solvers and the tracer):
+Every system owns its chart: ``chart_dim`` and ``codomain_dim`` are the
+lengths of z and of the residual, ``circle_coords`` the entries of z on
+R/Z, and ``chart_diff``, ``canonical`` (one point per relabeling orbit) and
+``orbit_dist`` are all the chart arithmetic the tracer and the orbit dedup
+use.  Charts (flat coordinate vectors z for the solvers and the tracer):
 
 * P_n: z = (base, t_0, ..., t_{n-2}); the last gap is 1 minus the rest,
-  so the simplex constraint is built into the chart.
+  so the simplex constraint is built into the chart; base on R/Z.
 * Special-quadrilateral slice: z = (t, u_1, u_2); first and last vertex
   ride a path (y_1(t), y_4(t)), u_i are the arcs to the two free vertices.
 * Octahedron: 18 ambient coordinates of six points, unit-norm constraints
@@ -28,11 +32,11 @@ import itertools
 import numpy as np
 from scipy.linalg import helmert
 
-from .circle import wrap
+from .circle import circle_dist, signed_gap, wrap
 from .curves import ClosedCurve, EmbeddedSphere
 from .errors import DegenerateConfigurationError, DomainError
 from .fields import DistanceField, as_field
-from .polygons import PolygonParam, cyclic_shift, vertices
+from .polygons import PolygonParam, vertices
 
 _TINY = 1e-300
 
@@ -60,9 +64,26 @@ class ResidualSystem:
     """Base: a residual map on a flat chart, with cyclic symmetry metadata."""
 
     kind: str
-    domain_dim: int
+    chart_dim: int
     codomain_dim: int
     symmetry_order: int = 1
+    circle_coords: tuple = ()
+
+    def chart_diff(self, a, b):
+        """a - b, with the circle coordinates as signed gaps in (-1/2, 1/2]."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        d = a - b
+        for c in self.circle_coords:
+            d[..., c] = signed_gap(b[..., c], a[..., c])
+        return d
+
+    def canonical(self, Z):
+        """Orbit representatives of the chart points Z."""
+        return np.asarray(Z, dtype=float)
+
+    def orbit_dist(self, Z, z):
+        """Distance from the orbit of z to each point of Z (max norm)."""
+        return np.max(np.abs(self.chart_diff(z, Z)), axis=-1)
 
     def residual(self, z):
         raise NotImplementedError
@@ -99,6 +120,7 @@ class PolygonSystem(ResidualSystem):
 
     pairs: list
     mix: np.ndarray
+    circle_coords = (0,)
 
     def __init__(self, source, n: int):
         if n < 3:
@@ -106,7 +128,7 @@ class PolygonSystem(ResidualSystem):
         self.field = as_field(source)
         self.curve = getattr(self.field, "curve", None)
         self.n = n
-        self.domain_dim = n
+        self.chart_dim = n
         self._chart_jac = np.tril(np.ones((n, n)))  # constant dV_i / dz_m
 
     @property
@@ -121,9 +143,6 @@ class PolygonSystem(ResidualSystem):
     def from_param(self, p: PolygonParam):
         return np.concatenate([[p.base], p.gaps[:-1]])
 
-    def shift_z(self, z, k=1):
-        return self.from_param(cyclic_shift(self.to_param(z), k))
-
     def star_base_z(self, z):
         z = np.asarray(z, dtype=float)
         weights = (self.n - np.arange(1, self.n)) / self.n
@@ -133,6 +152,35 @@ class PolygonSystem(ResidualSystem):
         z = np.asarray(z, dtype=float)
         last = 1.0 - np.sum(z[..., 1:], axis=-1)
         return np.concatenate([z[..., 1:], last[..., None]], axis=-1)
+
+    def shift(self, Z, k=1):
+        """Chart points relabeled cyclically k steps (k an int or one per
+        point): the base moves to vertex k and the gaps rotate."""
+        Z = np.asarray(Z, dtype=float)
+        k = np.broadcast_to(np.asarray(k) % self.n, Z.shape[:-1])[..., None]
+        gaps = self.gaps_of(Z)
+        cum = np.concatenate([np.zeros_like(gaps[..., :1]), np.cumsum(gaps[..., :-1], axis=-1)], axis=-1)
+        base = wrap(Z[..., :1] + np.take_along_axis(cum, k, axis=-1))
+        rolled = np.take_along_axis(gaps, (np.arange(self.n) + k) % self.n, axis=-1)
+        return np.concatenate([base, rolled[..., :-1]], axis=-1)
+
+    def canonical(self, Z):
+        """The relabeling of each point, among the shifts by multiples of
+        n / symmetry_order, whose star base lies in [0, 1/symmetry_order)."""
+        Z = np.asarray(Z, dtype=float)
+        s = self.symmetry_order
+        if s <= 1:
+            return Z
+        return self.shift(Z, (self.n // s) * ((s - np.floor(self.star_base_z(Z) * s).astype(int)) % s))
+
+    def orbit_dist(self, Z, z):
+        """Smallest max-norm distance (base on the circle, all n gaps) from
+        the equivariant relabelings of z to each point of Z."""
+        Z, k = np.asarray(Z, dtype=float), np.arange(0, self.n, self.n // self.symmetry_order)
+        W = self.shift(np.broadcast_to(z, (len(k), self.n)), k)
+        base = circle_dist(W[:, 0], Z[..., None, 0])
+        gaps = np.max(np.abs(self.gaps_of(W) - self.gaps_of(Z)[..., None, :]), axis=-1)
+        return np.min(np.maximum(base, gaps), axis=-1)
 
     def boundary_margins(self, z):
         return np.min(self.gaps_of(z), axis=-1)
@@ -318,9 +366,9 @@ class SpecialQuadSliceSystem(ResidualSystem):
     """
 
     kind = "special_quad"
-    domain_dim = 3
+    chart_dim = 3
     codomain_dim = 3
-    symmetry_order = 1
+    circle_coords = (0,)  # the path parameter t
     tie_tol = 1e-9
     pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
     mix = _ties(5, (0, 1), (1, 2), (3, 4))
@@ -461,14 +509,13 @@ class OctahedronSystem(ResidualSystem):
 
     Chart: 18 ambient coordinates of the six unit vectors; the six unit-norm
     constraints are appended to the 11 mean-free edge coordinates, giving a
-    17-dimensional residual on an 18-dimensional chart.
+    17-dimensional residual on an 18-dimensional chart.  Intrinsically the
+    configuration space is 12-dimensional and the edge map lands in R^11.
     """
 
     kind = "octahedron"
-    domain_dim = 12
-    codomain_dim = 11
-    symmetry_order = 1
     chart_dim = 18
+    codomain_dim = 17
     fat_diagonal = 0.05  # minimum pairwise spherical distance
 
     def __init__(self, sphere: EmbeddedSphere):

@@ -15,7 +15,7 @@ from .circle import circle_dist, wrap
 from .curves import ClosedCurve, EmbeddedSphere
 from .errors import ConvergenceError, NonIsolatedSolutionsError, SearchFailure
 from .fields import as_field
-from .polygons import canonical, cyclic_shift, orbit_dist, param_dist
+from .polygons import canonical, orbit_dist
 from .residuals import (
     EdgeRatioSystem,
     OctahedronSystem,
@@ -29,7 +29,7 @@ from .residuals import (
     octahedron_group,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import Branch, TraceSettings, chain_distance, chart_diff, trace_branch
+from .tracing import Branch, TraceSettings, chain_distance, trace_branch
 
 FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution family
 
@@ -68,61 +68,27 @@ def polygon_seed_grid(n, nx, m, symmetry_order=1):
 # --- orbit bookkeeping -------------------------------------------------------
 
 
-def canonicalize_batch(system, Z):
-    """Orbit-canonical chart points (minimal star base over the shifts the
-    system is actually equivariant under)."""
-    Z = np.asarray(Z, dtype=float)
-    n = getattr(system, "n", Z.shape[-1])
-    if Z.size == 0:
-        return Z.reshape(0, n)
-    s = system.symmetry_order
-    if s <= 1:
-        return Z.copy()
-    step = n // s
-    gaps = system.gaps_of(Z)
-    star = system.star_base_z(Z)
-    j = step * ((s - np.floor(star * s).astype(int)) % s)
-    idx = (np.arange(n)[None, :] + j[:, None]) % n
-    rolled = np.take_along_axis(gaps, idx, axis=1)
-    cum = np.hstack([np.zeros((len(Z), 1)), np.cumsum(gaps, axis=1)[:, :-1]])
-    base = wrap(Z[:, 0] + np.take_along_axis(cum, j[:, None], axis=1)[:, 0])
-    return np.hstack([base[:, None], rolled[:, : n - 1]])
-
-
 def dedup_orbits(system, zeros, tol=1e-5, max_merge=512):
     """Cluster converged zeros into distinct orbits; returns canonical chart
     points (k, m), sorted.
 
-    Two zeros are one orbit when some shift the system is equivariant under
-    brings them within tol (max-norm over base and all gaps; plain chart
-    distance for charts without a polygon parameter).  A coarse rounding
-    pass shrinks the population first; the exact pairwise merge is skipped
-    beyond max_merge survivors (that many apparent orbits means the zeros
-    sample a continuous family, where pairwise merging is meaningless).
+    Zeros are mapped to ``system.canonical`` representatives, and two are
+    one orbit when ``system.orbit_dist`` puts them within tol.  A coarse
+    rounding pass shrinks the population first; the exact merge (one
+    vectorized distance call per candidate) is skipped beyond max_merge
+    survivors (that many apparent orbits means the zeros sample a continuous
+    family, where pairwise merging is meaningless).
     """
-    Zc = canonicalize_batch(system, zeros)
+    Zc = system.canonical(zeros)
     if len(Zc) == 0:
         return Zc
     rounded = np.round(Zc / (10 * tol)).astype(np.int64)
     _, first = np.unique(rounded, axis=0, return_index=True)
     reps = Zc[np.sort(first)]
     if len(reps) <= max_merge:
-        if hasattr(system, "to_param"):
-            items = [system.to_param(z) for z in reps]
-            step = system.n // system.symmetry_order
-
-            def dist(p, q):
-                return min(param_dist(cyclic_shift(p, k), q) for k in range(0, p.n, step))
-
-        else:
-            items = list(reps)
-
-            def dist(a, b):
-                return np.max(np.abs(chart_diff(system, a, b)))
-
         keep = []
-        for k, item in enumerate(items):
-            if all(dist(item, items[r]) > tol for r in keep):
+        for k, z in enumerate(reps):
+            if np.all(system.orbit_dist(reps[keep], z) > tol):
                 keep.append(k)
         reps = reps[keep]
     return reps[np.lexsort(np.round(reps, 9).T[::-1])]
@@ -335,7 +301,7 @@ def find_equilateral_triangle(source, settings=None, nx=16, m=9):
         )
     # the equilateral zero set is one-dimensional, so the converged points
     # sample a family: pick the canonically smallest, skip pairwise merging
-    Zc = canonicalize_batch(sys, np.array(good))
+    Zc = sys.canonical(np.array(good))
     order = np.lexsort(np.round(Zc, 8).T[::-1])
     z_best = Zc[order[0]]
     verts = tuple(float(v) for v in wrap(sys.vertex_params(z_best)))
@@ -414,9 +380,9 @@ class _PlanarRhombusSystem(ResidualSystem):
     """Square augmentation: equal edges plus coplanarity, for final polish."""
 
     kind = "rhombus3d_planar"
-    domain_dim = 4
+    chart_dim = 4
     codomain_dim = 4
-    symmetry_order = 1
+    circle_coords = (0,)
 
     def __init__(self, base: Rhombus3dSystem):
         self.base = base

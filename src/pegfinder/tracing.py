@@ -4,11 +4,12 @@ Tangent continuation with an augmented-Newton corrector: predict along the
 Jacobian null direction, correct in the hyperplane orthogonal to the
 prediction step.  The corrector reads (F, J) from ``system.linearize`` and
 hands the J at the accepted point to the next tangent; one bisection loop
-serves closure, boundary and event location.  Loops close when the trace
-re-crosses the starting hyperplane next to the start point; open branches
-stop when the chart boundary margin drops below the floor, which the
-geometry legitimately produces (degenerating rectangles, spiral paths), so
-it is a termination state and not an error.
+serves closure, boundary and event location.  Chart differences and
+relabelings come from the system (``chart_diff``, ``shift``).  Loops close
+when the trace re-crosses the starting hyperplane next to the start point;
+open branches stop when the chart boundary margin drops below the floor,
+which the geometry legitimately produces (degenerating rectangles, spiral
+paths), so it is a termination state and not an error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import wrap
+from .circle import signed_gap
 from .errors import ConvergenceError
 from .residuals import ResidualSystem, central_difference
 from .solvers import refine
@@ -68,39 +69,14 @@ class Branch:
     def __len__(self):
         return self.points.shape[0]
 
-    def params(self):
-        return [self.system.to_param(z) for z in self.points]
-
-
-def circle_mask(system):
-    mask = np.zeros(chart_dim(system), dtype=bool)
-    if hasattr(system, "to_param") or system.kind == "special_quad":
-        mask[0] = True  # base point / path parameter lives on R/Z
-    return mask
-
-
-def chart_dim(system):
-    return getattr(system, "chart_dim", system.domain_dim)
-
-
-def chart_diff(system, a, b):
-    """a - b with circle-valued coordinates wrapped to (-1/2, 1/2]."""
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    mask = circle_mask(system)
-    if np.any(mask):
-        w = wrap(d[..., mask])
-        d = d.copy()
-        d[..., mask] = np.where(w > 0.5, w - 1.0, w)
-    return d
-
 
 def chart_distance(system, a, b):
-    return float(np.linalg.norm(chart_diff(system, a, b), axis=-1))
+    return float(np.linalg.norm(system.chart_diff(a, b), axis=-1))
 
 
 def chain_distance(system, chain, q):
     """Distance from point q to the sampled chain (with segment projection)."""
-    rel = chart_diff(system, chain, q)
+    rel = system.chart_diff(chain, q)
     point_d = np.linalg.norm(rel, axis=-1)
     if chain.shape[0] < 2:
         return float(np.min(point_d))
@@ -206,7 +182,7 @@ def _trace_direction(system, z0, tau0, settings):
         # verified by projecting the crossing onto the plane and demanding it
         # actually coincides with the start (nearby foreign sheets must not
         # close the loop spuriously)
-        side = float(start_tau @ chart_diff(system, w, z0))
+        side = float(start_tau @ system.chart_diff(w, z0))
         dist0 = chart_distance(system, w, z0)
         if len(samples) > 4 and dist0 < max(2.0 * h, settings.closure_tol):
             crossed = prev_side < 0.0 <= side
@@ -241,7 +217,7 @@ def _bisect(system, a, b, on_a_side, stop, max_iter, settings):
     for _ in range(max_iter):
         if chart_distance(system, a, b) <= stop:
             break
-        chord = chart_diff(system, b, a)
+        chord = system.chart_diff(b, a)
         tau = chord / np.linalg.norm(chord)
         try:
             mid, _ = _correct(system, a + 0.5 * chord, tau, settings.corrector_tol)
@@ -259,7 +235,7 @@ def _plane_hit(system, za, zb, z0, tau0, settings):
     orthogonal to tau0; returns the on-branch crossing point or None."""
 
     def below(z):
-        return float(tau0 @ chart_diff(system, z, z0)) < 0
+        return float(tau0 @ system.chart_diff(z, z0)) < 0
 
     side = below(za)
     a, _, ok = _bisect(system, za, zb, lambda z: below(z) == side, 1e-12, 60, settings)
@@ -307,7 +283,7 @@ def trace_branch(system, z0, settings=None, events=None):
     branch = Branch(system=system, points=points, closed=closed, termination=termination)
     if closed and hasattr(system, "star_base_z"):
         branch.winding = _winding(system, points) * _orientation(system, points)
-    if closed and system.symmetry_order > 1 and hasattr(system, "shift_z"):
+    if closed and system.symmetry_order > 1:
         branch.isotropy_order = _isotropy(system, branch, settings)
     branch.events = _locate_events(system, points, events or {}, settings, closed=closed)
     if termination.endswith("boundary"):
@@ -319,10 +295,7 @@ def trace_branch(system, z0, settings=None, events=None):
 
 def _winding(system, points):
     sb = system.star_base_z(points)
-    inc = np.diff(sb)
-    inc = np.where(inc > 0.5, inc - 1.0, inc)
-    inc = np.where(inc <= -0.5, inc + 1.0, inc)
-    return int(np.rint(np.sum(inc)))
+    return int(np.rint(np.sum(signed_gap(sb[:-1], sb[1:]))))
 
 
 def _orientation(system, points):
@@ -335,7 +308,7 @@ def _orientation(system, points):
     J = system.jacobian(points[0])
     if J.shape[0] != points.shape[1] - 1:
         return 1
-    chord = chart_diff(system, points[1], points[0])
+    chord = system.chart_diff(points[1], points[0])
     det = np.linalg.det(np.vstack([J, chord[None, :]]))
     return -1 if det < 0 else 1
 
@@ -348,21 +321,23 @@ def winding_number(branch: Branch) -> int:
 
 
 def _isotropy(system, branch, settings):
-    n = system.symmetry_order
+    s = system.symmetry_order
     tol = max(10.0 * settings.closure_tol, 0.5 * settings.step_max)
     probes = branch.points[:: max(1, len(branch.points) // 8)][:8]
     best = 1
-    for k in range(2, n + 1):
-        if n % k:
+    for k in range(2, s + 1):
+        if s % k:
             continue
-        shifted = [system.shift_z(p, n // k) for p in probes]
-        if all(chain_distance(system, branch.points, s) < tol for s in shifted):
+        # the order-k subgroup of Z_n is generated by a shift of n / k labels
+        shifted = system.shift(probes, system.n // k)
+        if all(chain_distance(system, branch.points, z) < tol for z in shifted):
             best = k
     return best
 
 
 def isotropy(branch: Branch, system=None) -> int:
-    """Largest k | n with shift^(n/k) mapping the branch onto itself."""
+    """Largest k dividing the symmetry order with shift^(n/k) mapping the
+    branch onto itself."""
     system = system or branch.system
     if not branch.closed:
         raise ConvergenceError("isotropy requires a closed branch")
@@ -409,7 +384,7 @@ def _bisect_event(system, za, zb, fn, settings, tol=1e-10):
 
     side = negative(za)
     a, b, _ = _bisect(system, za, zb, lambda z: negative(z) == side, tol, 80, settings)
-    return a + 0.5 * chart_diff(system, b, a)
+    return a + 0.5 * system.chart_diff(b, a)
 
 
 class PerturbedSystem(ResidualSystem):
@@ -420,22 +395,23 @@ class PerturbedSystem(ResidualSystem):
     boundary, leaving the exact zeros of symmetric corpus curves untouched
     whenever the unperturbed trace succeeds (the wrapper is only engaged
     after a stall).  Every ``ResidualSystem`` method binds to the perturbed
-    residual; only chart attributes (``to_param``, ``star_base_z``, ...)
-    are forwarded to the base.
+    residual.  The chart declarations are copied from the base (class
+    defaults on ``ResidualSystem`` would shadow forwarding), other chart
+    attributes (``to_param``, ``star_base_z``, ...) are forwarded.  The
+    perturbation is not equivariant: ``symmetry_order`` is 1.
     """
 
     def __init__(self, base, delta=1e-7, seed=0):
         self.base = base
         self.delta = delta
-        rng = np.random.default_rng(seed)
-        m = chart_dim(base)
-        k = base.codomain_dim
-        self._freq = rng.integers(-2, 3, size=(k, m)).astype(float)
-        self._phase = rng.uniform(0.0, 1.0, size=k)
         self.kind = base.kind
-        self.domain_dim = base.domain_dim
+        self.chart_dim = base.chart_dim
         self.codomain_dim = base.codomain_dim
-        self.symmetry_order = 1  # the perturbation is not equivariant
+        self.circle_coords = base.circle_coords
+        self.symmetry_order = 1
+        rng = np.random.default_rng(seed)
+        self._freq = rng.integers(-2, 3, size=(self.codomain_dim, self.chart_dim)).astype(float)
+        self._phase = rng.uniform(0.0, 1.0, size=self.codomain_dim)
 
     def __getattr__(self, name):
         return getattr(self.base, name)

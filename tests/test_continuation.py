@@ -4,7 +4,9 @@ import pytest
 from pegfinder import (
     ConvergenceError,
     EdgeRatioSystem,
+    OctahedronSystem,
     RectangleSystem,
+    SpecialQuadSliceSystem,
     SpecialQuadPathSystem,
     SquareSystem,
     TraceSettings,
@@ -195,6 +197,24 @@ def test_perturbed_system_owns_its_derivatives(ellipse):
     assert np.max(np.abs(pert.numeric_jacobian(z) - pert.jacobian(z))) < 1e-7
     assert pert.boundary_margin(z) == sq.boundary_margin(z)
     assert pert.guard(z) == sq.guard(z)
+
+
+def test_perturbed_system_keeps_the_base_chart(ellipse):
+    # the residual grows the perturbation over the base's own codomain
+    sphere = corpus("scaled-sphere", lz=0.5)
+    oct_sys = OctahedronSystem(sphere)
+    pert = PerturbedSystem(oct_sys)
+    q = np.random.default_rng(1).normal(size=(6, 3))
+    z = (q / np.linalg.norm(q, axis=1, keepdims=True)).reshape(18)
+    assert pert.residual(z).shape == (17,) == oct_sys.residual(z).shape
+    assert (pert.chart_dim, pert.codomain_dim) == (18, 17)
+    # chart differences wrap exactly the base's circle coordinates
+    a, b = np.array([0.95, 0.2, 0.3, 0.25]), np.array([0.05, 0.25, 0.25, 0.25])
+    for base in (SquareSystem(ellipse), SpecialQuadSliceSystem(ellipse, 0.3)):
+        pert = PerturbedSystem(base, delta=1e-3)
+        a3, b3 = a[: base.chart_dim], b[: base.chart_dim]
+        assert np.array_equal(pert.chart_diff(a3, b3), base.chart_diff(a3, b3))
+        assert pert.chart_diff(a3, b3)[0] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_corrector_returns_jacobian_at_its_point(ellipse, settings):

@@ -191,7 +191,11 @@ def test_three_square_orbits_and_rectangle_bookkeeping():
 
 @pytest.mark.parametrize(
     "name, params, orbits",
-    [("fourier-random", {"degree": 10, "amp": 0.6, "seed": 1}, 7), ("cusp", {}, 3)],
+    [
+        ("fourier-random", {"degree": 10, "amp": 0.6, "seed": 1}, 7),
+        ("cusp", {}, 3),
+        ("fourier-random", {"degree": 10, "amp": 0.6, "seed": 4}, 5),
+    ],
 )
 def test_count_squares_fundamental_domain_matches_full_grid(name, params, orbits):
     # seeding only star base in [0, 1/4) finds the same orbits as seeding
@@ -207,6 +211,12 @@ def test_count_squares_fundamental_domain_matches_full_grid(name, params, orbits
     for o in rep.orbits:
         p = PolygonParam(o["base"], o["gaps"])
         assert min(orbit_dist(p, q) for q in full) < 1e-8
+
+
+def test_count_squares_on_a_distance_field():
+    rep = count_squares(corpus("field-random", seed=0))
+    assert rep.orbit_count == 1 and rep.parity == 1 and rep.verdicts["parity_odd"]
+    assert rep.orbits[0]["ccw_square_labeling"] is None  # no planar curve to orient
 
 
 def test_rectangle_components_without_squares(ellipse):

@@ -89,6 +89,8 @@ def test_polyline_validation():
         PolylineCurve([[0, 0], [1, 0], [2, 0]])
     with pytest.raises(DomainError, match="no area"):
         PolylineCurve([[0, 0], [1, 0], [1, 1], [1, 0]])  # a doubled chain
+    with pytest.raises(DomainError, match="no area"):
+        PolylineCurve([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 0]])  # the same, in R^3
 
 
 def test_field_from_curve_matches_chord(circle, trefoil, rng):

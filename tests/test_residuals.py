@@ -32,6 +32,7 @@ from pegfinder import (
     square_residual,
     triangle_residual,
 )
+from pegfinder.polygons import param_dist
 from pegfinder.residuals import octahedron_edge_permutation, shift_square_residual
 
 
@@ -424,6 +425,8 @@ def test_linearize_is_residual_and_jacobian_bit_for_bit(factory, charts):
     F, J = sys.linearize(Z)
     assert np.array_equal(F, sys.residual(Z))
     assert np.array_equal(J, sys.jacobian(Z))
+    assert F.shape[-1] == sys.codomain_dim
+    assert Z.shape[-1] == sys.chart_dim
 
 
 def test_polyline_system_uses_secant_jacobian():
@@ -440,3 +443,40 @@ def test_rhombus3d_jacobian(trefoil, rng):
         z = _interior_quad_chart(rng)
         rel = np.max(np.abs(sys.jacobian(z) - sys.numeric_jacobian(z)))
         assert rel < 1e-5
+
+
+# --- chart methods against the PolygonParam reference -------------------------
+
+_CHART_SYSTEMS = {
+    "triangle": lambda: TriangleSystem(corpus("ellipse")),
+    "square": lambda: SquareSystem(corpus("ellipse")),
+    "pentagon": lambda: EdgeRatioSystem(corpus("ellipse"), 5),
+    "parallelogram": lambda: ParallelogramSystem(corpus("ellipse"), 2.0),  # s = 2 < n = 4
+}
+
+
+def _polygon_param(data, n):
+    base = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    gaps = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    return PolygonParam(base, np.array(gaps) / np.sum(gaps))
+
+
+@pytest.mark.parametrize("name", sorted(_CHART_SYSTEMS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chart_methods_match_polygon_reference(name, data):
+    sys = _CHART_SYSTEMS[name]()
+    n, s = sys.n, sys.symmetry_order
+    p, q = _polygon_param(data, n), _polygon_param(data, n)
+    z, w = sys.from_param(p), sys.from_param(q)
+    for k in range(n):
+        ref = cyclic_shift(p, k)
+        shifted = sys.shift(z, k)
+        assert abs(sys.chart_diff(shifted, sys.from_param(ref))[0]) < 1e-15
+        assert np.max(np.abs(sys.gaps_of(shifted) - ref.gaps)) < 1e-15
+    star = sys.star_base_z(sys.canonical(z[None]))[0]
+    assert star < 1.0 / s + 1e-12 or star > 1.0 - 1e-12  # [0, 1/s) on the circle, up to rounding
+    assert sys.orbit_dist(z, sys.canonical(z[None])[0]) < 1e-12  # a member of the orbit
+    ref = min(param_dist(cyclic_shift(q, k), p) for k in range(0, n, n // s))
+    assert abs(sys.orbit_dist(z, w) - ref) < 1e-12
+    assert np.allclose(sys.orbit_dist(np.array([z, w]), w), [ref, 0.0], rtol=0.0, atol=1e-12)
