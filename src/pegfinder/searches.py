@@ -13,7 +13,7 @@ import numpy as np
 
 from .circle import circle_dist, wrap
 from .curves import ClosedCurve, EmbeddedSphere
-from .errors import ConvergenceError, NonIsolatedSolutionsError, SearchFailure
+from .errors import ConvergenceError, DomainError, NonIsolatedSolutionsError, SearchFailure
 from .fields import as_field
 from .polygons import canonical, orbit_dist
 from .residuals import (
@@ -29,7 +29,7 @@ from .residuals import (
     octahedron_group,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import Branch, TraceSettings, chain_distance, trace_branch
+from .tracing import Branch, TraceSettings, chain_distance, near_chain, trace_branch
 
 FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution family
 
@@ -39,6 +39,8 @@ FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution famil
 
 def simplex_lattice(n, m):
     """Interior lattice points of the (n-1)-simplex at resolution 1/m."""
+    if m < n:
+        raise DomainError(f"the simplex lattice needs m >= n interior steps, got n = {n}, m = {m}")
     cuts = np.array(list(itertools.combinations(range(1, m), n - 1)), dtype=float)
     full = np.hstack([np.zeros((len(cuts), 1)), cuts, np.full((len(cuts), 1), m)])
     return np.diff(full, axis=1) / m
@@ -52,6 +54,8 @@ def polygon_seed_grid(n, nx, m, symmetry_order=1):
     1/n, so that window is a fundamental domain of the Z_s action: every
     orbit keeps a labeling there, seeded at the density of the full grid.
     """
+    if nx < 1:
+        raise DomainError(f"the seed grid needs nx >= 1 base points, got nx = {nx}")
     shapes = simplex_lattice(n, m)[:, : n - 1]
     xs = (np.arange(nx) + 0.5) / nx
     B = len(shapes) * nx
@@ -95,7 +99,12 @@ def dedup_orbits(system, zeros, tol=1e-5, max_merge=512):
 
 
 def enumerate_branches(system, seeds, settings=None, events=None, max_branches=32):
-    """Trace every distinct zero-set component hit by the seed population."""
+    """Trace every distinct zero-set component hit by the seed population.
+
+    The converged zeros are visited in sorted order, and a zero is traced
+    unless a branch traced before it passes within 2 step_max.  After each
+    trace one ``near_chain`` mask marks the later zeros its branch covers.
+    """
     settings = settings or TraceSettings()
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
     if len(zeros) == 0:
@@ -103,9 +112,10 @@ def enumerate_branches(system, seeds, settings=None, events=None, max_branches=3
     order = np.lexsort(np.round(zeros, 8).T[::-1])
     zeros = zeros[order]
     membership_tol = 2.0 * settings.step_max
+    covered = np.zeros(len(zeros), dtype=bool)
     branches = []
-    for z in zeros:
-        if any(chain_distance(system, br.points, z) < membership_tol for br in branches):
+    for i, z in enumerate(zeros):
+        if covered[i]:
             continue
         try:
             br = trace_branch(system, z, settings, events=events)
@@ -114,6 +124,8 @@ def enumerate_branches(system, seeds, settings=None, events=None, max_branches=3
         branches.append(br)
         if len(branches) >= max_branches:
             break
+        later = i + 1 + np.flatnonzero(~covered[i + 1 :])
+        covered[later] = near_chain(system, br.points, zeros[later], membership_tol)
     return branches
 
 

@@ -15,6 +15,7 @@ paths), so it is a termination state and not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .solvers import refine
 
 _RANK_TOL = 1e-8
 _MIN_STEP = 1e-9
+_NEAR_BLOCK_ROWS = 2**14  # (query x sample) rows per near_chain block
 
 
 @dataclass
@@ -42,10 +44,16 @@ class TraceSettings:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not _is_int(self.max_steps) or self.max_steps < 1:
+            raise ValueError("max_steps must be an integer of at least 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.corrector_tol >= self.closure_tol:
             raise ValueError("corrector_tol must be below closure_tol")
+
+
+def _is_int(value):
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -74,22 +82,46 @@ def chart_distance(system, a, b):
     return float(np.linalg.norm(system.chart_diff(a, b), axis=-1))
 
 
+def _segment_dists(rel):
+    """Distance from the origin to each segment of the chains rel (..., S, d)
+    of chart differences; inf on the long jumps where a chain wrapped."""
+    a, b = rel[..., :-1, :], rel[..., 1:, :]
+    seg = b - a
+    seg_len2 = np.sum(seg * seg, axis=-1)
+    valid = seg_len2 < 0.25  # a long jump means the chain wrapped, skip it
+    t = -np.sum(a * seg, axis=-1) / np.maximum(seg_len2, 1e-300)
+    t = np.clip(t, 0.0, 1.0)
+    proj = a + t[..., None] * seg
+    seg_d = np.linalg.norm(proj, axis=-1)
+    return np.where(valid, seg_d, np.inf)
+
+
 def chain_distance(system, chain, q):
     """Distance from point q to the sampled chain (with segment projection)."""
     rel = system.chart_diff(chain, q)
     point_d = np.linalg.norm(rel, axis=-1)
     if chain.shape[0] < 2:
         return float(np.min(point_d))
-    a, b = rel[:-1], rel[1:]
-    seg = b - a
-    seg_len2 = np.sum(seg * seg, axis=-1)
-    valid = seg_len2 < 0.25  # a long jump means the chain wrapped, skip it
-    t = -np.sum(a * seg, axis=-1) / np.maximum(seg_len2, 1e-300)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, None] * seg
-    seg_d = np.linalg.norm(proj, axis=-1)
-    seg_d = np.where(valid, seg_d, np.inf)
-    return float(min(np.min(point_d), np.min(seg_d)))
+    return float(min(np.min(point_d), np.min(_segment_dists(rel))))
+
+
+def near_chain(system, chain, Q, tol):
+    """Mask of the points Q (B, d) with ``chain_distance(system, chain, q) <
+    tol``, decided with the same arithmetic.  A point within tol of a sample
+    skips the segment projection; the work runs in blocks of at most
+    _NEAR_BLOCK_ROWS (query x sample) rows."""
+    Q = np.asarray(Q, dtype=float)
+    S = chain.shape[0]
+    near = np.zeros(len(Q), dtype=bool)
+    step = max(1, _NEAR_BLOCK_ROWS // S)
+    for start in range(0, len(Q), step):
+        block = Q[start : start + step]
+        rel = system.chart_diff(chain[None], block[:, None])
+        hit = np.any(np.linalg.norm(rel, axis=-1) < tol, axis=-1)
+        rest = ~hit
+        hit[rest] = np.any(_segment_dists(rel[rest]) < tol, axis=-1)
+        near[start : start + step] = hit
+    return near
 
 
 def _tangent(J, prev=None):

@@ -20,7 +20,14 @@ from pegfinder import (
 from pegfinder.polygons import orbit_dist, from_vertices
 from pegfinder.solvers import gauss_newton_batch
 from pegfinder.residuals import central_difference
-from pegfinder.tracing import PerturbedSystem, _correct, _tangent, chain_distance
+from pegfinder.tracing import (
+    _NEAR_BLOCK_ROWS,
+    PerturbedSystem,
+    _correct,
+    _tangent,
+    chain_distance,
+    near_chain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +48,11 @@ def test_trace_settings_validation():
         {"boundary_floor": float("inf")},
         {"closure_tol": float("inf")},
         {"max_steps": 0},
+        {"max_steps": 1.5},
+        {"max_steps": True},
+        {"seed": -1},
+        {"seed": 1.0},
+        {"seed": True},
     ):
         with pytest.raises(ValueError):
             TraceSettings(**bad)
@@ -261,3 +273,47 @@ def test_chain_distance_wraps_base(circle, settings):
     br = trace_branch(sys, np.array([0.0, 0.251, 0.25, 0.252]), settings)
     probe = np.array([0.999, 0.25, 0.25, 0.25])
     assert chain_distance(sys, br.points, probe) < 1e-3
+
+
+def _near_chain_matches_reference(sys, chain, Q, tol):
+    expected = np.array([chain_distance(sys, chain, q) < tol for q in Q])
+    got = near_chain(sys, chain, Q, tol)
+    assert got.dtype == bool and np.array_equal(got, expected)
+    return expected
+
+
+def test_near_chain_is_the_scalar_chain_distance_test(ellipse, settings, rng):
+    sys = EdgeRatioSystem(ellipse, 4)
+    chain = trace_branch(sys, np.array([0.07, 0.24, 0.26, 0.25]), settings).points
+    S = len(chain)
+    # perturbed samples, half of them with the base shifted by +-1 (one
+    # more than a block holds, so the mask spans several blocks)
+    B = _NEAR_BLOCK_ROWS // S + 7
+    Q = chain[rng.integers(0, S, B)] + rng.normal(scale=0.02, size=(B, 4))
+    Q[::2, 0] += rng.choice([-1.0, 1.0], size=len(Q[::2]))
+    assert B * S > _NEAR_BLOCK_ROWS
+    near = _near_chain_matches_reference(sys, chain, Q, 0.02)
+    assert 0 < near.sum() < B
+    # just off segment midpoints: no sample is within tol, only the
+    # projection onto the segment catches them
+    rel = sys.chart_diff(chain[1:], chain[:-1])
+    seg_len = np.linalg.norm(rel, axis=-1)
+    long = np.flatnonzero(seg_len > np.median(seg_len))[:40]
+    tol = 0.4 * seg_len[long].min()
+    mids = chain[long] + 0.5 * rel[long] + 0.05 * tol * rng.normal(size=(len(long), 4))
+    point_d = np.linalg.norm(sys.chart_diff(chain[None], mids[:, None]), axis=-1).min(axis=1)
+    assert np.all(point_d >= tol)
+    assert _near_chain_matches_reference(sys, chain, mids, tol).all()
+    # a one-point chain has no segments
+    _near_chain_matches_reference(sys, chain[:1], Q, 0.05)
+
+
+def test_near_chain_on_an_octahedron_component():
+    # octahedron charts have no circle coordinates
+    from pegfinder import find_octahedra
+
+    comps, _ = find_octahedra(corpus("scaled-sphere", lz=0.5))
+    chain = comps[0].points
+    Q = np.concatenate([chain[::40] + 1e-3, comps[1].points[::40]])
+    near = _near_chain_matches_reference(comps[0].system, chain, Q, 0.02)
+    assert near.any() and not near.all()

@@ -109,6 +109,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--curve", "list.json"],
         ["find-square", "--corpus", "ellipse", "--tol", "-1"],
         ["find-square", "--corpus", "ellipse", "--tol", "nan"],
+        ["octahedra", "--seed", "-1"],
         ["find-rect", "--corpus", "circle", "--ratio", "-1"],
         ["find-ngon", "--corpus", "circle", "--n", "2"],
         # a subject that does not suit the command

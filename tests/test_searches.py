@@ -14,8 +14,11 @@ from pegfinder import (
     octahedron_group,
     vertices,
 )
-from pegfinder.residuals import OctahedronSystem
-from pegfinder.tracing import chain_distance
+from pegfinder.errors import ConvergenceError, DomainError
+from pegfinder.residuals import EdgeRatioSystem, OctahedronSystem
+from pegfinder.searches import enumerate_branches, polygon_seed_grid, simplex_lattice
+from pegfinder.solvers import gauss_newton_batch
+from pegfinder.tracing import chain_distance, trace_branch
 
 ELLIPSE_SQUARE_PARAMS = np.sort(
     np.array(
@@ -208,3 +211,54 @@ def test_planar_rhombus_answer_is_rhombus(trefoil):
     pts = trefoil.eval(vertices(p))
     sides = [np.linalg.norm(pts[(i + 1) % 4] - pts[i]) for i in range(4)]
     assert np.max(sides) - np.min(sides) < 1e-8
+
+
+def test_seed_grid_needs_enough_lattice_steps():
+    assert polygon_seed_grid(4, 10, 4).shape == (10, 4)
+    for n, nx, m in ((4, 10, 3), (5, 12, 4), (4, 0, 8), (3, -1, 8)):
+        with pytest.raises(DomainError):
+            polygon_seed_grid(n, nx, m)
+    with pytest.raises(DomainError):
+        simplex_lattice(4, 3)
+
+
+def _enumerate_branches_scalar(system, seeds, settings, events, max_branches):
+    """Reference: one chain_distance call per zero and traced branch."""
+    zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
+    zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
+    branches = []
+    for z in zeros:
+        if any(chain_distance(system, br.points, z) < 2.0 * settings.step_max for br in branches):
+            continue
+        try:
+            br = trace_branch(system, z, settings, events=events)
+        except ConvergenceError:
+            continue
+        branches.append(br)
+        if len(branches) >= max_branches:
+            break
+    return branches
+
+
+@pytest.mark.parametrize(
+    "curve, n",
+    [
+        (corpus("ellipse", a=2, b=1), 4),
+        (corpus("ellipse", a=2, b=1), 5),
+        (corpus("fourier-random", degree=4, amp=0.3, seed=1), 5),
+    ],
+    ids=["ellipse-4", "ellipse-5", "d4-seed1-5"],
+)
+def test_enumerate_branches_traces_what_the_scalar_loop_traced(curve, n):
+    settings = TraceSettings()
+    sys = EdgeRatioSystem(curve, n)
+    seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4))
+    events = {"diagonal_swap": sys.diagonal_gap} if n == 4 and sys.symmetry_order == 4 else None
+    got = enumerate_branches(sys, seeds, settings, events=events, max_branches=24)
+    want = _enumerate_branches_scalar(sys, seeds, settings, events, 24)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert np.array_equal(g.points, w.points)
+        assert g.winding == w.winding
+        assert [e.kind for e in g.events] == [e.kind for e in w.events]
+        assert all(np.array_equal(a.z, b.z) for a, b in zip(g.events, w.events))
