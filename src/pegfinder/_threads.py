@@ -1,20 +1,46 @@
-"""Worker-count record for the benchmark's environment report.
+"""Worker threads for batch work that runs in numpy kernels.
 
-pegfinder runs in one thread; nothing in the package reads this.  It stays
-only because ``perfbench/run.py`` records ``worker_count()`` with every run,
-until a benchmark-only change drops that import.
+``worker_count()`` is the thread budget: ``PEGFINDER_THREADS`` when set,
+else the CPUs this process may use, at most 4.  ``parallel_map`` spreads
+independent items over that many threads.  Threads pay only where the work
+releases the GIL: ``solvers.gauss_newton_batch`` runs its seed blocks
+through ``parallel_map``, while per-point Python loops such as branch
+tracing stay in one thread.  ``perfbench/run.py`` records
+``worker_count()`` with every run.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+
+from .errors import DomainError
 
 
 def worker_count() -> int:
-    env = os.environ.get("PEGFINDER_THREADS")
+    """PEGFINDER_THREADS (an integer >= 1; empty means unset), else the usable CPUs, at most 4."""
+    env = os.environ.get("PEGFINDER_THREADS", "")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+            n = 0
+        if n < 1:
+            raise DomainError(f"PEGFINDER_THREADS must be an integer >= 1, not {env!r}")
+        return n
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cpus or 1)
+
+
+def parallel_map(fn, items):
+    """[fn(x) for x in items] on at most min(worker_count(), len(items)) threads.
+
+    Results come back in item order, and an exception raised by fn reaches
+    the caller.  One item, or a budget of one thread, runs inline.
+    """
+    items = list(items)
+    n = min(worker_count(), len(items))
+    if n <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, items))

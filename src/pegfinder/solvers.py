@@ -6,15 +6,24 @@ per iteration.  The single-point corrector uses least-squares steps
 underdetermined systems alike; on a rank-deficient Jacobian the
 minimum-norm step keeps it on the zero set's nearest sheet.  The batched
 solver trades that robustness for throughput: regularized normal equations
-solved for the whole seed population at once, with divergent rows pruned
-between sweeps.
+solved for a whole block of seeds at once, with divergent rows pruned
+between sweeps.  The seed population is cut into contiguous blocks of at
+most ``_BLOCK_ROWS`` rows, which keep their arrays in cache and run on
+``_threads.parallel_map`` threads (numpy releases the GIL); every row's
+iteration is independent of the others, so the result is the same bytes
+in the same order for any block size and thread count.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import BoundaryExitError, ConvergenceError
+from . import _threads
+from .errors import BoundaryExitError, ConvergenceError, DomainError
+
+_BLOCK_ROWS = 8192
 
 
 def refine(system, z0, tol=1e-10, max_iter=50, boundary_floor=0.0):
@@ -23,6 +32,8 @@ def refine(system, z0, tol=1e-10, max_iter=50, boundary_floor=0.0):
     Raises ConvergenceError after max_iter sweeps, BoundaryExitError if the
     iterate leaves the chart interior (margin below boundary_floor).
     """
+    if max_iter < 1:
+        raise DomainError(f"refine needs max_iter >= 1, not {max_iter}")
     z = np.array(z0, dtype=float)
     best = None
     for _ in range(max_iter):
@@ -70,28 +81,8 @@ def _gn_step(J, F, damping=1e-12):
     return (Jt @ w)[..., 0]
 
 
-def gauss_newton_batch(
-    system,
-    seeds,
-    tol=1e-11,
-    max_iter=30,
-    prune_after=3,
-    prune_level=0.5,
-    max_step=0.25,
-    margin_floor=1e-3,
-):
-    """Run Gauss-Newton on every seed at once; return the converged points.
-
-    Seeds that blow up, stop being finite, or stay above prune_level after
-    prune_after sweeps are dropped.  Returns an array (C, m) of points with
-    residual norm <= tol whose boundary margin exceeds margin_floor; the
-    floor discards the exact but degenerate zeros sitting on the chart
-    boundary (coincident-vertex configurations), which are strong Newton
-    attractors but carry no geometry.
-    """
-    Z = np.array(seeds, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] == 0:
-        return np.empty((0, Z.shape[-1] if Z.ndim == 2 else 0))
+def _gn_sweeps(system, Z, tol, max_iter, prune_after, prune_level, max_step):
+    """The sweep loop on one block of seeds: [(sweep, rows converged at it)]."""
     done = []
     for sweep in range(max_iter):
         F, J = system.linearize(Z)
@@ -99,7 +90,7 @@ def gauss_newton_batch(
         ok = np.isfinite(rn)
         conv = ok & (rn <= tol)
         if np.any(conv):
-            done.append(Z[conv])
+            done.append((sweep, Z[conv]))
         keep = ok & ~conv
         if sweep >= prune_after:
             keep &= rn < prune_level
@@ -110,9 +101,44 @@ def gauss_newton_batch(
         ns = np.linalg.norm(step, axis=-1, keepdims=True)
         step = np.where(ns > max_step, step * (max_step / np.maximum(ns, 1e-300)), step)
         Z = Z + step
+    return done
+
+
+def gauss_newton_batch(
+    system,
+    seeds,
+    tol=1e-11,
+    max_iter=30,
+    prune_after=3,
+    prune_level=0.5,
+    max_step=0.25,
+    margin_floor=1e-3,
+):
+    """Run Gauss-Newton on every seed, a block of rows at a time; return the converged points.
+
+    seeds is a (B, system.chart_dim) array.  Seeds that blow up, stop being
+    finite, or stay above prune_level after prune_after sweeps are dropped.
+    Returns an array (C, m) of points with residual norm <= tol whose
+    boundary margin exceeds margin_floor, ordered by the sweep they
+    converged at and then by seed; the floor discards the exact but
+    degenerate zeros sitting on the chart boundary (coincident-vertex
+    configurations), which are strong Newton attractors but carry no
+    geometry.
+    """
+    Z = np.array(seeds, dtype=float)
+    m = system.chart_dim
+    if Z.ndim != 2 or Z.shape[1] != m:
+        raise DomainError(f"seeds must be an array of shape (B, {m}), not {Z.shape}")
+    sweeps = functools.partial(
+        _gn_sweeps, system, tol=tol, max_iter=max_iter, prune_after=prune_after,
+        prune_level=prune_level, max_step=max_step,
+    )
+    blocks = [Z[i : i + _BLOCK_ROWS] for i in range(0, len(Z), _BLOCK_ROWS)]
+    done = [part for found in _threads.parallel_map(sweeps, blocks) for part in found]
     if not done:
-        return np.empty((0, np.shape(seeds)[-1]))
-    out = np.vstack(done)
+        return np.empty((0, m))
+    done.sort(key=lambda part: part[0])  # stable: block order within a sweep
+    out = np.vstack([rows for _, rows in done])
     margins = system.boundary_margins(out)
     return out[margins > margin_floor]
 

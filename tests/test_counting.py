@@ -10,11 +10,13 @@ from pegfinder import (
     orientation_check,
     vertices,
 )
+from pegfinder import _threads, solvers
 from pegfinder.counting import CountReport
+from pegfinder.errors import DomainError
 from pegfinder.polygons import PolygonParam, from_vertices, orbit_dist
 from pegfinder.residuals import SquareSystem
 from pegfinder.searches import dedup_orbits, polygon_seed_grid
-from pegfinder.solvers import gauss_newton_batch
+from pegfinder.solvers import gauss_newton_batch, refine
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +243,105 @@ def test_count_report_invariants(ellipse_squares):
     assert rep.total == 4 * rep.orbit_count
     d = rep.to_dict()
     assert d["kind"] == "square" and d["orbit_count"] == rep.orbit_count
+
+
+# --- Gauss-Newton in row blocks over threads -----------------------------------
+
+
+def _square_count_zeros(curve):
+    sq = SquareSystem(curve)
+    seeds = polygon_seed_grid(4, 150, 24, sq.symmetry_order)
+    return gauss_newton_batch(sq, seeds, tol=1e-11, prune_after=1, prune_level=0.6)
+
+
+@pytest.fixture(scope="module")
+def one_block_results():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_BLOCK_ROWS", 10**9)
+        zeros = _square_count_zeros(corpus("fourier-random", degree=10, amp=0.6, seed=4))
+        report = count_squares(corpus("cusp")).to_dict()
+    return zeros, report
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_gn_blocks_match_one_block(monkeypatch, one_block_results, threads):
+    # rows iterate independently, so any block size and thread count give
+    # the same zeros, bytes and order as one block
+    zeros, report = one_block_results
+    monkeypatch.setattr(solvers, "_BLOCK_ROWS", 997)  # 67 blocks, the last one short
+    monkeypatch.setenv("PEGFINDER_THREADS", threads)
+    blocked = _square_count_zeros(corpus("fourier-random", degree=10, amp=0.6, seed=4))
+    assert len(zeros) > 0 and np.array_equal(blocked, zeros)
+    assert count_squares(corpus("cusp")).to_dict() == report
+
+
+class _FailsOnRow:
+    """A square system whose linearize raises on any batch holding one row."""
+
+    def __init__(self, base, row):
+        self.base, self.row, self.chart_dim = base, row, base.chart_dim
+
+    def linearize(self, z):
+        if np.any(np.all(z == self.row, axis=-1)):
+            raise RuntimeError("linearize failed")
+        return self.base.linearize(z)
+
+    def boundary_margins(self, z):
+        return self.base.boundary_margins(z)
+
+
+def test_gn_blocks_pass_a_worker_exception(monkeypatch, ellipse):
+    seeds = polygon_seed_grid(4, 10, 8)
+    monkeypatch.setattr(solvers, "_BLOCK_ROWS", 8)
+    monkeypatch.setenv("PEGFINDER_THREADS", "3")
+    sq = SquareSystem(ellipse)
+    assert len(seeds) > 3 * 8 and len(gauss_newton_batch(sq, seeds)) > 0
+    with pytest.raises(RuntimeError, match="linearize failed"):
+        gauss_newton_batch(_FailsOnRow(sq, seeds[3 * 8 + 1]), seeds)
+
+
+def test_gn_seed_shapes(ellipse):
+    sq = SquareSystem(ellipse)
+    for bad in (np.array([0.0, 0.25, 0.25, 0.25]), np.zeros((2, 3)), np.zeros((2, 4, 1))):
+        with pytest.raises(DomainError, match="shape"):
+            gauss_newton_batch(sq, bad)
+    assert gauss_newton_batch(sq, np.empty((0, 4))).shape == (0, 4)
+    assert gauss_newton_batch(sq, [[0.05, 0.3, 0.2, 0.25]]).shape[1] == 4
+
+
+def test_refine_needs_an_iteration(ellipse):
+    with pytest.raises(ValueError, match="max_iter"):
+        refine(SquareSystem(ellipse), np.array([0.0, 0.25, 0.25, 0.25]), max_iter=0)
+
+
+def test_worker_count_parsing(monkeypatch):
+    monkeypatch.delenv("PEGFINDER_THREADS", raising=False)
+    default = _threads.worker_count()
+    assert 1 <= default <= 4
+    monkeypatch.setenv("PEGFINDER_THREADS", "")
+    assert _threads.worker_count() == default
+    for env, n in (("1", 1), ("3", 3), (" 2 ", 2), ("64", 64)):
+        monkeypatch.setenv("PEGFINDER_THREADS", env)
+        assert _threads.worker_count() == n
+    for env in ("0", "-1", "2.5", "abc"):
+        monkeypatch.setenv("PEGFINDER_THREADS", env)
+        with pytest.raises(DomainError, match="PEGFINDER_THREADS"):
+            _threads.worker_count()
+
+
+def test_parallel_map_threads_at_most_items(monkeypatch):
+    started = []
+
+    class Pool(_threads.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(_threads, "ThreadPoolExecutor", Pool)
+    monkeypatch.setenv("PEGFINDER_THREADS", "64")  # never started: two items get two threads
+    assert _threads.parallel_map(lambda x: x * x, [3, 4]) == [9, 16]
+    assert _threads.parallel_map(lambda x: -x, [5]) == [-5]  # inline
+    assert _threads.parallel_map(lambda x: x, []) == []
+    monkeypatch.setenv("PEGFINDER_THREADS", "1")
+    assert _threads.parallel_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]  # inline
+    assert started == [2]
