@@ -1,11 +1,10 @@
 """Worker threads for batch work that runs in numpy kernels.
 
-``worker_count()`` is the thread budget: ``PEGFINDER_THREADS`` when set,
-else the CPUs this process may use, at most 4.  ``parallel_map`` spreads
-independent items over that many threads.  Threads pay only where the work
-releases the GIL: ``solvers.gauss_newton_batch`` runs its seed blocks
-through ``parallel_map``, while per-point Python loops such as branch
-tracing stay in one thread.  ``perfbench/run.py`` records
+``worker_count()`` is the thread budget: the CPUs this process may use, at
+most 4.  ``parallel_map`` spreads independent items over that many threads.
+Threads pay only where the work releases the GIL: ``solvers.gauss_newton_batch``
+runs its seed blocks through ``parallel_map``, while per-point Python loops
+such as branch tracing stay in one thread.  ``perfbench/run.py`` records
 ``worker_count()`` with every run.
 """
 
@@ -14,20 +13,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import DomainError
-
 
 def worker_count() -> int:
-    """PEGFINDER_THREADS (an integer >= 1; empty means unset), else the usable CPUs, at most 4."""
-    env = os.environ.get("PEGFINDER_THREADS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise DomainError(f"PEGFINDER_THREADS must be an integer >= 1, not {env!r}")
-        return n
+    """The CPUs this process may use, at most 4."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(4, cpus or 1)
 

@@ -7,8 +7,7 @@ knot-rhombus, octahedra, corpus-list.  Common flags: --curve FILE or
 
 Exit codes: 0 success, 1 numerical failure (diagnostics in the JSON
 document when requested), 2 usage error (bad flags, unreadable or invalid
-spec files, bad settings, a PEGFINDER_THREADS that is not an integer >= 1,
-violated preconditions).
+spec files, bad settings, violated preconditions).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import time
 
 import numpy as np
 
-from ._threads import worker_count
 from .corpus import corpus as corpus_build
 from .corpus import corpus_list
 from .counting import count_special_quads
@@ -153,7 +151,6 @@ def main(argv=None) -> int:
         ap.error(f"unrecognized arguments: {' '.join(extras)}")
     t0 = time.time()
     try:
-        worker_count()  # a bad PEGFINDER_THREADS is a usage error, raised before any work
         settings = TraceSettings(corrector_tol=args.tol, seed=args.seed)
         subject = _load_subject(args, params)
         field2 = field_from_spec(_read_spec(args.field2)) if getattr(args, "field2", None) else None

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -263,13 +265,13 @@ def one_block_results():
     return zeros, report
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("threads", [1, 3])
 def test_gn_blocks_match_one_block(monkeypatch, one_block_results, threads):
     # rows iterate independently, so any block size and thread count give
     # the same zeros, bytes and order as one block
     zeros, report = one_block_results
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 997)  # 67 blocks, the last one short
-    monkeypatch.setenv("PEGFINDER_THREADS", threads)
+    monkeypatch.setattr(_threads, "worker_count", lambda: threads)
     blocked = _square_count_zeros(corpus("fourier-random", degree=10, amp=0.6, seed=4))
     assert len(zeros) > 0 and np.array_equal(blocked, zeros)
     assert count_squares(corpus("cusp")).to_dict() == report
@@ -293,7 +295,7 @@ class _FailsOnRow:
 def test_gn_blocks_pass_a_worker_exception(monkeypatch, ellipse):
     seeds = polygon_seed_grid(4, 10, 8)
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 8)
-    monkeypatch.setenv("PEGFINDER_THREADS", "3")
+    monkeypatch.setattr(_threads, "worker_count", lambda: 3)
     sq = SquareSystem(ellipse)
     assert len(seeds) > 3 * 8 and len(gauss_newton_batch(sq, seeds)) > 0
     with pytest.raises(RuntimeError, match="linearize failed"):
@@ -314,19 +316,9 @@ def test_refine_needs_an_iteration(ellipse):
         refine(SquareSystem(ellipse), np.array([0.0, 0.25, 0.25, 0.25]), max_iter=0)
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("PEGFINDER_THREADS", raising=False)
-    default = _threads.worker_count()
-    assert 1 <= default <= 4
-    monkeypatch.setenv("PEGFINDER_THREADS", "")
-    assert _threads.worker_count() == default
-    for env, n in (("1", 1), ("3", 3), (" 2 ", 2), ("64", 64)):
-        monkeypatch.setenv("PEGFINDER_THREADS", env)
-        assert _threads.worker_count() == n
-    for env in ("0", "-1", "2.5", "abc"):
-        monkeypatch.setenv("PEGFINDER_THREADS", env)
-        with pytest.raises(DomainError, match="PEGFINDER_THREADS"):
-            _threads.worker_count()
+def test_worker_count_is_usable_cpus_capped():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _threads.worker_count() == min(4, cpus or 1)
 
 
 def test_parallel_map_threads_at_most_items(monkeypatch):
@@ -338,10 +330,10 @@ def test_parallel_map_threads_at_most_items(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(_threads, "ThreadPoolExecutor", Pool)
-    monkeypatch.setenv("PEGFINDER_THREADS", "64")  # never started: two items get two threads
+    monkeypatch.setattr(_threads, "worker_count", lambda: 64)  # never started: two items get two threads
     assert _threads.parallel_map(lambda x: x * x, [3, 4]) == [9, 16]
     assert _threads.parallel_map(lambda x: -x, [5]) == [-5]  # inline
     assert _threads.parallel_map(lambda x: x, []) == []
-    monkeypatch.setenv("PEGFINDER_THREADS", "1")
+    monkeypatch.setattr(_threads, "worker_count", lambda: 1)
     assert _threads.parallel_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]  # inline
     assert started == [2]

@@ -128,13 +128,6 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"pegfinder {argv[0]}: ") and err.count("\n") == 1, err
-    # so does a thread budget that is not an integer >= 1
-    with monkeypatch.context() as mp:
-        mp.setenv("PEGFINDER_THREADS", "0")
-        capsys.readouterr()
-        assert main(["find-square", "--corpus", "ellipse"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("pegfinder find-square: PEGFINDER_THREADS") and err.count("\n") == 1, err
     # numerical failure exits 1 with diagnostics in the JSON
     code = main(["octahedra", "--lambda-z", "1.0", "--json", "oct.json"])
     assert code == 1
