@@ -29,7 +29,14 @@ from .residuals import (
     octahedron_group,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import Branch, TraceSettings, chain_distance, near_chain, trace_branch
+from .tracing import (
+    Branch,
+    TraceSettings,
+    _sign_changes,
+    chain_distance,
+    near_chain,
+    trace_branch,
+)
 
 FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution family
 
@@ -105,15 +112,21 @@ def enumerate_branches(system, seeds, settings=None, events=None, max_branches=3
     unless a branch traced before it passes within 2 step_max.  After each
     trace one ``near_chain`` mask marks the later zeros its branch covers.
     """
+    return list(_iter_branches(system, seeds, settings, events, max_branches))
+
+
+def _iter_branches(system, seeds, settings=None, events=None, max_branches=32):
+    """``enumerate_branches`` as a generator: each branch is yielded as soon
+    as it is traced, so a caller that stops early traces no more."""
     settings = settings or TraceSettings()
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
     if len(zeros) == 0:
-        return []
+        return
     order = np.lexsort(np.round(zeros, 8).T[::-1])
     zeros = zeros[order]
     membership_tol = 2.0 * settings.step_max
     covered = np.zeros(len(zeros), dtype=bool)
-    branches = []
+    traced = 0
     for i, z in enumerate(zeros):
         if covered[i]:
             continue
@@ -121,12 +134,33 @@ def enumerate_branches(system, seeds, settings=None, events=None, max_branches=3
             br = trace_branch(system, z, settings, events=events)
         except ConvergenceError:
             continue
-        branches.append(br)
-        if len(branches) >= max_branches:
-            break
+        yield br
+        traced += 1
+        if traced >= max_branches:
+            return
         later = i + 1 + np.flatnonzero(~covered[i + 1 :])
         covered[later] = near_chain(system, br.points, zeros[later], membership_tol)
-    return branches
+
+
+def _best_first(branches, top):
+    """Yield branches in the stable order of (open, -isotropy), closed and
+    most symmetric first, drawing from the iterable only as far as needed.
+
+    A closed branch of isotropy ``top`` (the system's symmetry order, the
+    largest possible) sorts first, so it is yielded as soon as it arrives;
+    the rest wait until the source is used up.
+    """
+
+    def key(b):
+        return (not b.closed, -(b.isotropy_order or 1))
+
+    rest = []
+    for br in branches:
+        if key(br) == (False, -top):
+            yield br
+        else:
+            rest.append(br)
+    yield from sorted(rest, key=key)
 
 
 # --- squares -----------------------------------------------------------------
@@ -154,6 +188,11 @@ def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
     """Locate a square through the invariant-rhombus diagonal swap, with an
     independent multistart-Newton cross-check.
 
+    Rhombus branches are traced best-first (closed and most symmetric
+    first), and only as many as it takes: the square is the first
+    diagonal-swap event of the first branch that has one, and that event is
+    the only one bisected.
+
     Returns (PolygonParam, provenance dict).
     """
     settings = settings or TraceSettings()
@@ -164,16 +203,20 @@ def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
     family = any(c < FAMILY_RANK_TOL for c in conditions) or bool(close_pairs)
 
     seeds = polygon_seed_grid(4, 10, 8)
-    branches = enumerate_branches(
-        er, seeds, settings, events={"diagonal_swap": er.diagonal_gap}, max_branches=12
-    )
-    branches.sort(key=lambda b: (not b.closed, -(b.isotropy_order or 1)))
+    branches = _iter_branches(er, seeds, settings, max_branches=12)
     swap_square = None
     swap_info = {}
-    for br in branches:
-        swaps = [e for e in br.events if e.kind == "diagonal_swap"]
-        if swaps:
-            z = refine(sq, swaps[0].z, tol=1e-11)
+    tried = 0
+    for br in _best_first(branches, er.symmetry_order):
+        tried += 1
+        swap = next(
+            _sign_changes(
+                br.system, br.points, er.diagonal_gap, settings, "diagonal_swap", br.closed
+            ),
+            None,
+        )
+        if swap is not None:
+            z = refine(sq, swap.z, tol=1e-11)
             swap_square = sq.to_param(z)
             swap_info = {
                 "route": "diagonal_swap",
@@ -199,7 +242,7 @@ def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
         raise SearchFailure(
             "no usable invariant rhombus branch; this contradicts the prime-power "
             "family guarantee for n=4 and indicates numerical trouble",
-            {"branches": len(branches), "newton_orbits": len(newton_reps)},
+            {"branches": tried, "newton_orbits": len(newton_reps)},
         )
 
     provenance = dict(swap_info)
@@ -340,9 +383,10 @@ def find_two_metric_triangle(source1, source2, settings=None):
 
     events = {f"isosceles_hit:{k}": iso_event(k) for k in range(3)}
     seeds = polygon_seed_grid(3, 12, 8)
-    branches = enumerate_branches(sys, seeds, settings, events=events, max_branches=8)
-    branches.sort(key=lambda b: (not b.closed, -(b.isotropy_order or 1)))
-    for br in branches:
+    source = _iter_branches(sys, seeds, settings, events=events, max_branches=8)
+    branches = []
+    for br in _best_first(source, sys.symmetry_order):
+        branches.append(br)
         hits = [e for e in br.events if e.kind == "isosceles_hit"]
         if not hits:
             # d2-isosceles everywhere is also a valid (constant) hit
@@ -417,16 +461,20 @@ class _PlanarRhombusSystem(ResidualSystem):
 
 def find_planar_rhombus(knot: ClosedCurve, settings=None, diameter_floor=1e-3):
     """Planar rhombus on a space curve via the planarity event on an
-    equal-edge branch; returns (PolygonParam, info)."""
+    equal-edge branch; returns (PolygonParam, info).
+
+    Equal-edge branches are traced best-first (closed and most symmetric
+    first), and only as many as it takes; along each, planarity events are
+    bisected one at a time until one polishes to a nondegenerate rhombus.
+    """
     settings = settings or TraceSettings()
     sys = Rhombus3dSystem(knot)
     seeds = polygon_seed_grid(4, 10, 8)
-    branches = enumerate_branches(
-        sys, seeds, settings, events={"planarity": sys.coplanarity}, max_branches=12
-    )
-    branches.sort(key=lambda b: (not b.closed, -(b.isotropy_order or 1)))
+    branches = _iter_branches(sys, seeds, settings, max_branches=12)
     polish = _PlanarRhombusSystem(sys)
-    for br in branches:
+    tried = 0
+    for br in _best_first(branches, sys.symmetry_order):
+        tried += 1
         flat_vals = np.abs(sys.coplanarity(br.points))
         if np.max(flat_vals) < 1e-9:
             # planar curve (or tilted circle): the whole branch is coplanar
@@ -434,7 +482,10 @@ def find_planar_rhombus(knot: ClosedCurve, settings=None, diameter_floor=1e-3):
                 if sys.diameter(z) > diameter_floor:
                     return _rhombus_answer(sys, z, br, note="branch identically planar")
             continue
-        for ev in [e for e in br.events if e.kind == "planarity"]:
+        events = _sign_changes(
+            br.system, br.points, sys.coplanarity, settings, "planarity", br.closed
+        )
+        for ev in events:
             if sys.diameter(ev.z) < diameter_floor:
                 continue  # the angle must be kept away from zero
             try:
@@ -446,7 +497,7 @@ def find_planar_rhombus(knot: ClosedCurve, settings=None, diameter_floor=1e-3):
                 return _rhombus_answer(sys, z, br)
     raise SearchFailure(
         "no planarity event with nondegenerate diameter on any traced branch",
-        {"branches": len(branches)},
+        {"branches": tried},
     )
 
 

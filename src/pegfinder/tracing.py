@@ -376,36 +376,43 @@ def isotropy(branch: Branch, system=None) -> int:
     return _isotropy(system, branch, TraceSettings())
 
 
-def _locate_events(system, points, event_fns, settings, closed=False, definite=1e-9):
-    """Bisect every sign change of each event function along the chain.
+def _locate_events(system, points, event_fns, settings, closed=False):
+    """Bisect every sign change of each event function along the chain."""
+    events = [
+        ev
+        for name, fn in event_fns.items()
+        for ev in _sign_changes(system, points, fn, settings, name.split(":")[0], closed)
+    ]
+    events.sort(key=lambda e: e.index)
+    return events
+
+
+def _sign_changes(system, points, fn, settings, kind, closed, definite=1e-9):
+    """Yield the events of one function along the chain in increasing index,
+    each bisected only when it is asked for.
 
     For closed chains the scan is circular, so a crossing sitting exactly at
     the start sample (value below the definiteness threshold there) is still
-    counted exactly once.
+    counted exactly once; the wrap pair comes last.
     """
-    events = []
     S = points.shape[0]
-    for name, fn in event_fns.items():
-        kind = name.split(":")[0]
-        vals = np.asarray(fn(points))
-        sign = np.where(vals > definite, 1, np.where(vals < -definite, -1, 0))
-        definite_idx = np.flatnonzero(sign)
-        if definite_idx.size == 0:
+    vals = np.asarray(fn(points))
+    sign = np.where(vals > definite, 1, np.where(vals < -definite, -1, 0))
+    definite_idx = np.flatnonzero(sign)
+    if definite_idx.size == 0:
+        return
+    if closed:
+        # last and first sample coincide; drop the duplicate, scan circularly
+        order = list(definite_idx[definite_idx < S - 1])
+        pairs = zip(order, order[1:] + order[:1])
+    else:
+        order = list(definite_idx)
+        pairs = zip(order, order[1:])
+    for ia, ib in pairs:
+        if sign[ia] == sign[ib]:
             continue
-        if closed:
-            # last and first sample coincide; drop the duplicate, scan circularly
-            order = list(definite_idx[definite_idx < S - 1])
-            pairs = list(zip(order, order[1:] + order[:1]))
-        else:
-            order = list(definite_idx)
-            pairs = list(zip(order, order[1:]))
-        for ia, ib in pairs:
-            if sign[ia] == sign[ib]:
-                continue
-            z_ev = _bisect_event(system, points[ia], points[ib], fn, settings)
-            events.append(Event(kind, z_ev, ia, float(fn(z_ev[None])[0])))
-    events.sort(key=lambda e: e.index)
-    return events
+        z_ev = _bisect_event(system, points[ia], points[ib], fn, settings)
+        yield Event(kind, z_ev, ia, float(fn(z_ev[None])[0]))
 
 
 def _bisect_event(system, za, zb, fn, settings, tol=1e-10):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,21 @@ from pegfinder import (
     octahedron_group,
     vertices,
 )
-from pegfinder.errors import ConvergenceError, DomainError
-from pegfinder.residuals import EdgeRatioSystem, OctahedronSystem
-from pegfinder.searches import enumerate_branches, polygon_seed_grid, simplex_lattice
-from pegfinder.solvers import gauss_newton_batch
-from pegfinder.tracing import chain_distance, trace_branch
+from pegfinder import searches, tracing
+from pegfinder.errors import ConvergenceError, DomainError, SearchFailure
+from pegfinder.polygons import canonical, orbit_dist
+from pegfinder.residuals import EdgeRatioSystem, OctahedronSystem, Rhombus3dSystem, SquareSystem
+from pegfinder.searches import (
+    FAMILY_RANK_TOL,
+    _PlanarRhombusSystem,
+    _rhombus_answer,
+    enumerate_branches,
+    polygon_seed_grid,
+    simplex_lattice,
+    square_orbits,
+)
+from pegfinder.solvers import gauss_newton_batch, refine
+from pegfinder.tracing import PerturbedSystem, chain_distance, trace_branch
 
 ELLIPSE_SQUARE_PARAMS = np.sort(
     np.array(
@@ -262,3 +274,191 @@ def test_enumerate_branches_traces_what_the_scalar_loop_traced(curve, n):
         assert g.winding == w.winding
         assert [e.kind for e in g.events] == [e.kind for e in w.events]
         assert all(np.array_equal(a.z, b.z) for a, b in zip(g.events, w.events))
+
+
+# --- lazy, best-first finders ------------------------------------------------
+
+
+def _eager_branches(system, events, settings):
+    """Reference: trace every branch with its events, then sort them once."""
+    branches = enumerate_branches(
+        system, polygon_seed_grid(4, 10, 8), settings, events=events, max_branches=12
+    )
+    branches.sort(key=lambda b: (not b.closed, -(b.isotropy_order or 1)))
+    return branches
+
+
+def _find_planar_rhombus_eager(knot, settings, diameter_floor=1e-3):
+    """Reference: the planar-rhombus search over fully traced, fully
+    bisected branches."""
+    sys = Rhombus3dSystem(knot)
+    polish = _PlanarRhombusSystem(sys)
+    for br in _eager_branches(sys, {"planarity": sys.coplanarity}, settings):
+        if np.max(np.abs(sys.coplanarity(br.points))) < 1e-9:
+            for z in br.points[len(br) // 2 :]:
+                if sys.diameter(z) > diameter_floor:
+                    return _rhombus_answer(sys, z, br, note="branch identically planar")
+            continue
+        for ev in [e for e in br.events if e.kind == "planarity"]:
+            if sys.diameter(ev.z) < diameter_floor:
+                continue
+            try:
+                z = refine(polish, ev.z, tol=1e-10)
+                angle = sys.planarity_angle(z)
+            except ConvergenceError:
+                continue
+            if abs(angle - np.pi) < 0.1 and sys.diameter(z) > diameter_floor:
+                return _rhombus_answer(sys, z, br)
+    raise AssertionError("the reference search found no planar rhombus")
+
+
+def _find_square_eager(curve, settings, nx=24, m=16):
+    """Reference: the diagonal-swap square over fully traced, fully bisected
+    branches, with the same multistart cross-check."""
+    sq = SquareSystem(curve)
+    er = EdgeRatioSystem(curve, 4)
+    newton_reps, conditions, close_pairs = square_orbits(sq, polygon_seed_grid(4, nx, m))
+    family = any(c < FAMILY_RANK_TOL for c in conditions) or bool(close_pairs)
+    for br in _eager_branches(er, {"diagonal_swap": er.diagonal_gap}, settings):
+        swaps = [e for e in br.events if e.kind == "diagonal_swap"]
+        if swaps:
+            z, route = swaps[0].z, "diagonal_swap"
+        elif np.max(np.abs(er.diagonal_gap(br.points))) < 1e-9:
+            z, route = br.points[len(br) // 2], "square_family_branch"
+        else:
+            continue
+        square = sq.to_param(refine(sq, z, tol=1e-11))
+        prov = {
+            "route": route,
+            "branch_closed": br.closed,
+            "branch_isotropy": br.isotropy_order,
+            "branch_winding": br.winding,
+            "newton_orbit_count": len(newton_reps),
+            "jacobian_condition_ratios": conditions,
+            "family_detected": family,
+        }
+        if family:
+            nudged = refine(sq, sq.from_param(square) + 1e-4, tol=1e-11)
+            prov["newton_agreement"] = float(np.linalg.norm(sq.residual(nudged)))
+            prov["agrees"] = True
+        else:
+            dists = [orbit_dist(square, p) for p in newton_reps]
+            prov["newton_agreement"] = float(min(dists))
+            prov["agrees"] = bool(min(dists) <= 1e-6)
+        prov["residual"] = float(np.linalg.norm(sq.residual(sq.from_param(square))))
+        return canonical(square), prov
+    raise AssertionError("the reference search found no square")
+
+
+def _assert_same_answer(got, want):
+    (p, info), (q, want_info) = got, want
+    assert p.base == q.base and np.array_equal(p.gaps, q.gaps)
+    assert repr(info) == repr(want_info)
+
+
+@pytest.mark.parametrize(
+    "knot",
+    [corpus("trefoil"), corpus("tilted-circle", angle=0.0), corpus("tilted-circle", angle=0.6)],
+    ids=["trefoil", "tilted-0.0", "tilted-0.6"],
+)
+def test_planar_rhombus_matches_the_eager_search(knot):
+    settings = TraceSettings()
+    got = find_planar_rhombus(knot, settings)
+    want = _find_planar_rhombus_eager(knot, settings)
+    _assert_same_answer(got, want)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [corpus("ellipse", a=2, b=1), corpus("circle"), corpus("cusp")],
+    ids=["ellipse", "circle", "cusp"],
+)
+def test_find_square_matches_the_eager_search(curve):
+    settings = TraceSettings()
+    got = find_square(curve, settings)
+    want = _find_square_eager(curve, settings)
+    _assert_same_answer(got, want)
+
+
+def test_finders_bisect_on_the_system_the_branch_was_traced_on(monkeypatch, trefoil, ellipse):
+    # after a stall fallback a branch lives on its PerturbedSystem, and the
+    # eager search bisected its events there
+    def perturbed_trace(system, z, settings, events=None):
+        return trace_branch(PerturbedSystem(system, delta=1e-3), z, settings, events=events)
+
+    monkeypatch.setattr(searches, "trace_branch", perturbed_trace)
+    settings = TraceSettings()
+    _assert_same_answer(find_square(ellipse, settings), _find_square_eager(ellipse, settings))
+    _assert_same_answer(
+        find_planar_rhombus(trefoil, settings), _find_planar_rhombus_eager(trefoil, settings)
+    )
+
+
+def _count_work(monkeypatch):
+    """Count branch traces of the finders and event bisections."""
+    counts = {"traces": 0, "bisections": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(searches, "trace_branch", counted("traces", searches.trace_branch))
+    monkeypatch.setattr(tracing, "_bisect_event", counted("bisections", tracing._bisect_event))
+    return counts
+
+
+def test_finders_trace_and_bisect_only_what_the_answer_needs(monkeypatch, trefoil, ellipse):
+    counts = _count_work(monkeypatch)
+    find_planar_rhombus(trefoil)
+    # the eager search traced 7 branches and bisected 60 planarity events
+    assert counts == {"traces": 2, "bisections": 1}
+    counts.update(traces=0, bisections=0)
+    find_square(ellipse)
+    # the eager search bisected all 6 diagonal swaps of the branch
+    assert counts["bisections"] == 1
+
+
+def test_planar_rhombus_failure_reports_every_traced_branch(monkeypatch, trefoil):
+    counts = _count_work(monkeypatch)
+
+    def no_polish(*args, **kwargs):
+        raise ConvergenceError("polish disabled")
+
+    monkeypatch.setattr(searches, "refine", no_polish)
+    with pytest.raises(SearchFailure) as failure:
+        find_planar_rhombus(trefoil)
+    assert failure.value.diagnostic["branches"] == counts["traces"] > 2
+
+
+@dataclass
+class _Stub:
+    closed: bool
+    isotropy_order: int | None
+
+
+def test_best_first_is_the_stable_sort_drawing_lazily():
+    rng = np.random.default_rng(7)
+    top = 4
+    for _ in range(50):
+        stubs = [
+            _Stub(bool(rng.integers(2)), [None, 1, 2, 4][rng.integers(4)])
+            for _ in range(rng.integers(0, 12))
+        ]
+        drawn = []
+
+        def source():
+            for s in stubs:
+                drawn.append(s)
+                yield s
+
+        got = []
+        for s in searches._best_first(source(), top):
+            if s.closed and s.isotropy_order == top:
+                # yielded before the next source item is drawn
+                assert drawn[-1] is s
+            got.append(s)
+        want = sorted(stubs, key=lambda b: (not b.closed, -(b.isotropy_order or 1)))
+        assert [id(s) for s in got] == [id(s) for s in want]
