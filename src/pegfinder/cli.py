@@ -93,7 +93,7 @@ def _corpus_params(extras):
         val = extras[i + 1]
         try:
             num = float(val)
-            params[key] = int(num) if num == int(num) and "." not in val and "e" not in val.lower() else num
+            params[key] = int(num) if num.is_integer() and "." not in val and "e" not in val.lower() else num
         except ValueError:
             params[key] = val
         i += 2

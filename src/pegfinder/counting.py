@@ -28,7 +28,7 @@ from .searches import (
     square_orbits,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import TraceSettings, trace_branch
+from .tracing import TraceSettings, branch_events, trace_branch
 
 
 @dataclass
@@ -193,13 +193,10 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
             p_lab = cyclic_shift(p0, k)
             if containing(p_lab) is not None:
                 continue
-            br = trace_branch(
-                rect, rect.from_param(p_lab), settings, events={"square_on_branch": rect.fatness}
-            )
+            br = trace_branch(rect, rect.from_param(p_lab), settings)
             squares = [
                 sq.to_param(refine(sq, ev.z, tol=1e-10))
-                for ev in br.events
-                if ev.kind == "square_on_branch"
+                for ev in branch_events(br, rect.fatness, "square_on_branch", settings)
             ]
             components.append(
                 {

@@ -179,8 +179,8 @@ class EmbeddedSphere:
 
     def __init__(self, scale):
         s = np.asarray(scale, dtype=float)
-        if s.shape != (3,) or np.any(s <= 0.0):
-            raise DomainError("sphere scale must be three positive reals")
+        if s.shape != (3,) or not np.all(np.isfinite(s) & (s > 0.0)):
+            raise DomainError("sphere scale must be three finite positive reals")
         self.scale = s
         self.scale.setflags(write=False)
 

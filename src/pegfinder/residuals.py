@@ -228,8 +228,8 @@ class EdgeRatioSystem(PolygonSystem):
     def __init__(self, curve, n, rhos=None):
         super().__init__(curve, n)
         rhos = np.ones(n - 1) if rhos is None else np.asarray(rhos, dtype=float)
-        if rhos.shape != (n - 1,) or np.any(rhos <= 0):
-            raise DomainError(f"need {n - 1} positive edge ratios")
+        if rhos.shape != (n - 1,) or not np.all(np.isfinite(rhos) & (rhos > 0)):
+            raise DomainError(f"need {n - 1} finite positive edge ratios")
         sides = np.concatenate([rhos, [1.0]])
         if np.any(sides >= sides.sum() - sides):
             raise DomainError("edge ratios violate the polygon inequality")
@@ -282,8 +282,8 @@ class ParallelogramSystem(PolygonSystem):
     def __init__(self, curve, r):
         if curve.ambient_dim != 2:
             raise DomainError("the parallelogram test map needs a planar curve")
-        if r <= 0:
-            raise DomainError("aspect ratio must be positive")
+        if not (np.isfinite(r) and r > 0):
+            raise DomainError("aspect ratio must be finite and positive")
         super().__init__(curve, 4)
         self.r = float(r)
 

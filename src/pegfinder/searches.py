@@ -8,6 +8,7 @@ out; the CLI serializes that dict verbatim.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -32,13 +33,14 @@ from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
 from .tracing import (
     Branch,
     TraceSettings,
-    _sign_changes,
+    branch_events,
     chain_distance,
     near_chain,
     trace_branch,
 )
 
 FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution family
+MAX_SEED_GRID = 10**6  # seeds one polygon_seed_grid may build
 
 
 # --- seed construction -------------------------------------------------------
@@ -60,9 +62,16 @@ def polygon_seed_grid(n, nx, m, symmetry_order=1):
     [0, 1/s) are kept.  A cyclic relabeling shifts the star base rigidly by
     1/n, so that window is a fundamental domain of the Z_s action: every
     orbit keeps a labeling there, seeded at the density of the full grid.
+    Grids of more than MAX_SEED_GRID seeds are refused before any is built.
     """
     if nx < 1:
         raise DomainError(f"the seed grid needs nx >= 1 base points, got nx = {nx}")
+    count = nx * math.comb(max(m - 1, 0), n - 1)
+    if count > MAX_SEED_GRID:
+        raise DomainError(
+            f"the seed grid for n = {n}, nx = {nx}, m = {m} would hold {count:,} seeds, "
+            f"more than {MAX_SEED_GRID:,}"
+        )
     shapes = simplex_lattice(n, m)[:, : n - 1]
     xs = (np.arange(nx) + 0.5) / nx
     B = len(shapes) * nx
@@ -105,17 +114,17 @@ def dedup_orbits(system, zeros, tol=1e-5, max_merge=512):
     return reps[np.lexsort(np.round(reps, 9).T[::-1])]
 
 
-def enumerate_branches(system, seeds, settings=None, events=None, max_branches=32):
+def enumerate_branches(system, seeds, settings=None, max_branches=32):
     """Trace every distinct zero-set component hit by the seed population.
 
     The converged zeros are visited in sorted order, and a zero is traced
     unless a branch traced before it passes within 2 step_max.  After each
     trace one ``near_chain`` mask marks the later zeros its branch covers.
     """
-    return list(_iter_branches(system, seeds, settings, events, max_branches))
+    return list(_iter_branches(system, seeds, settings, max_branches))
 
 
-def _iter_branches(system, seeds, settings=None, events=None, max_branches=32):
+def _iter_branches(system, seeds, settings=None, max_branches=32):
     """``enumerate_branches`` as a generator: each branch is yielded as soon
     as it is traced, so a caller that stops early traces no more."""
     settings = settings or TraceSettings()
@@ -131,7 +140,7 @@ def _iter_branches(system, seeds, settings=None, events=None, max_branches=32):
         if covered[i]:
             continue
         try:
-            br = trace_branch(system, z, settings, events=events)
+            br = trace_branch(system, z, settings)
         except ConvergenceError:
             continue
         yield br
@@ -209,12 +218,7 @@ def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
     tried = 0
     for br in _best_first(branches, er.symmetry_order):
         tried += 1
-        swap = next(
-            _sign_changes(
-                br.system, br.points, er.diagonal_gap, settings, "diagonal_swap", br.closed
-            ),
-            None,
-        )
+        swap = next(branch_events(br, er.diagonal_gap, "diagonal_swap", settings), None)
         if swap is not None:
             z = refine(sq, swap.z, tol=1e-11)
             swap_square = sq.to_param(z)
@@ -304,13 +308,8 @@ def _rectangle_branch_check(curve, r, candidates, settings):
     through a square, and verify it is a zero of the parallelogram map."""
     rect = RectangleSystem(curve)
     square, _ = find_square(curve, settings)
-    br = trace_branch(
-        rect,
-        rect.from_param(square),
-        settings,
-        events={"aspect_ratio_hit": rect.aspect_event(r)},
-    )
-    hits = [e for e in br.events if e.kind == "aspect_ratio_hit"]
+    br = trace_branch(rect, rect.from_param(square), settings)
+    hits = list(branch_events(br, rect.aspect_event(r), "aspect_ratio_hit", settings))
     if not hits:
         return {"found": False, "branch_closed": br.closed}
     par = ParallelogramSystem(curve, r)
@@ -381,23 +380,22 @@ def find_two_metric_triangle(source1, source2, settings=None):
 
         return ev
 
-    events = {f"isosceles_hit:{k}": iso_event(k) for k in range(3)}
+    iso_events = [iso_event(k) for k in range(3)]
     seeds = polygon_seed_grid(3, 12, 8)
-    source = _iter_branches(sys, seeds, settings, events=events, max_branches=8)
+    source = _iter_branches(sys, seeds, settings, max_branches=8)
     branches = []
     for br in _best_first(source, sys.symmetry_order):
         branches.append(br)
-        hits = [e for e in br.events if e.kind == "isosceles_hit"]
+        hits = [e for fn in iso_events for e in branch_events(br, fn, "isosceles_hit", settings)]
         if not hits:
             # d2-isosceles everywhere is also a valid (constant) hit
-            vals = [events[f"isosceles_hit:{k}"](br.points) for k in range(3)]
-            flat = [k for k in range(3) if np.max(np.abs(vals[k])) < 1e-10]
-            if flat:
+            if any(np.max(np.abs(fn(br.points))) < 1e-10 for fn in iso_events):
                 z = br.points[len(br) // 2]
                 return _triangle_answer(sys, d2, z, br, note="isosceles identically")
             continue
-        hits.sort(key=lambda e: abs(e.value))
-        return _triangle_answer(sys, d2, hits[0].z, br)
+        # the smallest |value|; ties go to the lower index, then to the lower k
+        best = min(hits, key=lambda e: (abs(e.value), e.index))
+        return _triangle_answer(sys, d2, best.z, br)
     raise SearchFailure(
         "no isosceles event on any traced equilateral branch",
         {
@@ -482,10 +480,7 @@ def find_planar_rhombus(knot: ClosedCurve, settings=None, diameter_floor=1e-3):
                 if sys.diameter(z) > diameter_floor:
                     return _rhombus_answer(sys, z, br, note="branch identically planar")
             continue
-        events = _sign_changes(
-            br.system, br.points, sys.coplanarity, settings, "planarity", br.closed
-        )
-        for ev in events:
+        for ev in branch_events(br, sys.coplanarity, "planarity", settings):
             if sys.diameter(ev.z) < diameter_floor:
                 continue  # the angle must be kept away from zero
             try:
@@ -599,8 +594,12 @@ def edge_ratio_branches(curve: ClosedCurve, n, rhos=None, settings=None, nx=12, 
     sys = EdgeRatioSystem(curve, n, rhos)
     m = m or max(8, 2 * n + 4)
     seeds = polygon_seed_grid(n, nx, m)
-    events = {"diagonal_swap": sys.diagonal_gap} if n == 4 and sys.symmetry_order == 4 else None
-    return enumerate_branches(sys, seeds, settings, events=events, max_branches=24)
+    branches = enumerate_branches(sys, seeds, settings, max_branches=24)
+    if n == 4 and sys.symmetry_order == 4:
+        # the diagonal swaps (squares) go ahead of the boundary approaches
+        for br in branches:
+            br.events[:0] = branch_events(br, sys.diagonal_gap, "diagonal_swap", settings)
+    return branches
 
 
 def winding_sum(branches):

@@ -4,12 +4,14 @@ Tangent continuation with an augmented-Newton corrector: predict along the
 Jacobian null direction, correct in the hyperplane orthogonal to the
 prediction step.  The corrector reads (F, J) from ``system.linearize`` and
 hands the J at the accepted point to the next tangent; one bisection loop
-serves closure, boundary and event location.  Chart differences and
-relabelings come from the system (``chart_diff``, ``shift``).  Loops close
-when the trace re-crosses the starting hyperplane next to the start point;
-open branches stop when the chart boundary margin drops below the floor,
-which the geometry legitimately produces (degenerating rectangles, spiral
-paths), so it is a termination state and not an error.
+serves closure, boundary and event location.  Events are located after the
+trace, on the branch (``branch_events``), one sign change at a time.  Chart
+differences and relabelings come from the system (``chart_diff``,
+``shift``).  Loops close when the trace re-crosses the starting hyperplane
+next to the start point; open branches stop when the chart boundary margin
+drops below the floor, which the geometry legitimately produces
+(degenerating rectangles, spiral paths), so it is a termination state and
+not an error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .solvers import refine
 _RANK_TOL = 1e-8
 _MIN_STEP = 1e-9
 _NEAR_BLOCK_ROWS = 2**14  # (query x sample) rows per near_chain block
+_DEFINITE = 1e-9  # |event value| below this has no sign
 
 
 @dataclass
@@ -286,12 +289,13 @@ def _boundary_hit(system, inside, outside, settings):
     return a if system.boundary_margins(a[None])[0] >= 0.0 else None
 
 
-def trace_branch(system, z0, settings=None, events=None):
+def trace_branch(system, z0, settings=None):
     """Trace the connected zero-set component through z0.
 
-    events maps kind -> scalar function of the chart point; sign changes are
-    bisected to 1e-10 after the march.  Open branches are extended in both
-    directions so the whole component between boundary hits is returned.
+    Open branches are extended in both directions so the whole component
+    between boundary hits is returned; their ends are recorded as
+    ``boundary_approach`` events.  Sign changes of other functions along the
+    branch are a separate step: ``branch_events``.
     """
     settings = settings or TraceSettings()
     z0 = refine(system, np.asarray(z0, dtype=float), tol=settings.corrector_tol)
@@ -301,7 +305,7 @@ def trace_branch(system, z0, settings=None, events=None):
         # symmetric family stalled the tracer: retry with the boundary-decaying
         # transversality perturbation switched on
         perturbed = PerturbedSystem(system, seed=settings.seed)
-        return trace_branch(perturbed, z0, settings, events)
+        return trace_branch(perturbed, z0, settings)
     if term == "closed":
         points, termination, closed = np.array(fwd), "closed", True
     else:
@@ -317,7 +321,6 @@ def trace_branch(system, z0, settings=None, events=None):
         branch.winding = _winding(system, points) * _orientation(system, points)
     if closed and system.symmetry_order > 1:
         branch.isotropy_order = _isotropy(system, branch, settings)
-    branch.events = _locate_events(system, points, events or {}, settings, closed=closed)
     if termination.endswith("boundary"):
         branch.events.append(Event("boundary_approach", points[-1], len(points) - 1))
     if termination.startswith("boundary"):
@@ -376,34 +379,24 @@ def isotropy(branch: Branch, system=None) -> int:
     return _isotropy(system, branch, TraceSettings())
 
 
-def _locate_events(system, points, event_fns, settings, closed=False):
-    """Bisect every sign change of each event function along the chain."""
-    events = [
-        ev
-        for name, fn in event_fns.items()
-        for ev in _sign_changes(system, points, fn, settings, name.split(":")[0], closed)
-    ]
-    events.sort(key=lambda e: e.index)
-    return events
+def branch_events(branch, fn, kind, settings):
+    """Yield the sign changes of fn along the branch as ``Event(kind, ...)``
+    in increasing sample index, each bisected on ``branch.system`` only when
+    it is asked for.
 
-
-def _sign_changes(system, points, fn, settings, kind, closed, definite=1e-9):
-    """Yield the events of one function along the chain in increasing index,
-    each bisected only when it is asked for.
-
-    For closed chains the scan is circular, so a crossing sitting exactly at
-    the start sample (value below the definiteness threshold there) is still
-    counted exactly once; the wrap pair comes last.
+    A sample counts only where |fn| exceeds _DEFINITE.  On a closed branch
+    the scan is circular, so a crossing sitting exactly at the start sample
+    is still counted exactly once; the wrap pair comes last.
     """
-    S = points.shape[0]
+    points = branch.points
     vals = np.asarray(fn(points))
-    sign = np.where(vals > definite, 1, np.where(vals < -definite, -1, 0))
+    sign = np.where(vals > _DEFINITE, 1, np.where(vals < -_DEFINITE, -1, 0))
     definite_idx = np.flatnonzero(sign)
     if definite_idx.size == 0:
         return
-    if closed:
+    if branch.closed:
         # last and first sample coincide; drop the duplicate, scan circularly
-        order = list(definite_idx[definite_idx < S - 1])
+        order = list(definite_idx[definite_idx < points.shape[0] - 1])
         pairs = zip(order, order[1:] + order[:1])
     else:
         order = list(definite_idx)
@@ -411,7 +404,7 @@ def _sign_changes(system, points, fn, settings, kind, closed, definite=1e-9):
     for ia, ib in pairs:
         if sign[ia] == sign[ib]:
             continue
-        z_ev = _bisect_event(system, points[ia], points[ib], fn, settings)
+        z_ev = _bisect_event(branch.system, points[ia], points[ib], fn, settings)
         yield Event(kind, z_ev, ia, float(fn(z_ev[None])[0]))
 
 

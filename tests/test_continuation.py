@@ -10,6 +10,7 @@ from pegfinder import (
     SpecialQuadPathSystem,
     SquareSystem,
     TraceSettings,
+    branch_events,
     corpus,
     count_special_quads,
     isotropy,
@@ -22,6 +23,7 @@ from pegfinder.solvers import gauss_newton_batch
 from pegfinder.residuals import central_difference
 from pegfinder.tracing import (
     _NEAR_BLOCK_ROWS,
+    Branch,
     PerturbedSystem,
     _correct,
     _tangent,
@@ -83,22 +85,20 @@ def test_refine_diverges_cleanly(ellipse):
 
 def test_trace_circle_rhombus_family(circle, settings):
     sys = EdgeRatioSystem(circle, 4)
-    br = trace_branch(sys, np.array([0.0, 0.251, 0.25, 0.252]), settings,
-                      events={"diagonal_swap": sys.diagonal_gap})
+    br = trace_branch(sys, np.array([0.0, 0.251, 0.25, 0.252]), settings)
     assert br.closed
     assert abs(br.winding) == 1
     assert br.isotropy_order == 4
     assert winding_number(br) in (1, -1)
     # the circle family is entirely squares: no diagonal swap events
-    assert not [e for e in br.events if e.kind == "diagonal_swap"]
+    assert not list(branch_events(br, sys.diagonal_gap, "diagonal_swap", settings))
 
 
 def test_trace_ellipse_rhombus_events_hit_known_square(ellipse, settings):
     sys = EdgeRatioSystem(ellipse, 4)
-    br = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings,
-                      events={"diagonal_swap": sys.diagonal_gap})
+    br = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings)
     assert br.closed and br.isotropy_order == 4
-    swaps = [e for e in br.events if e.kind == "diagonal_swap"]
+    swaps = list(branch_events(br, sys.diagonal_gap, "diagonal_swap", settings))
     assert len(swaps) == 4  # the four labelings of the single square orbit
     t1 = np.arctan(2) / (2 * np.pi)
     expected = from_vertices([t1, 0.5 - t1, 0.5 + t1, 1 - t1])
@@ -110,12 +110,13 @@ def test_winding_number_requires_closed(ellipse, settings):
     sys = RectangleSystem(ellipse)
     t1 = np.arctan(2) / (2 * np.pi)
     z0 = sys.from_param(from_vertices([t1, 0.5 - t1, 0.5 + t1, 1 - t1]))
-    br = trace_branch(sys, z0, settings, events={"square_on_branch": sys.fatness})
+    br = trace_branch(sys, z0, settings)
     assert not br.closed
     with pytest.raises(ConvergenceError):
         winding_number(br)
     # exactly one square on the open arc, boundary hits at both ends
-    kinds = [e.kind for e in br.events]
+    squares = branch_events(br, sys.fatness, "square_on_branch", settings)
+    kinds = [e.kind for e in [*squares, *br.events]]
     assert kinds.count("square_on_branch") == 1
     assert kinds.count("boundary_approach") == 2
 
@@ -164,11 +165,37 @@ def test_isotropy_full_on_invariant_branches(circle, ellipse, settings):
 
 def test_bisected_event_location_is_on_zero_set(ellipse, settings):
     sys = EdgeRatioSystem(ellipse, 4)
-    br = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings,
-                      events={"diagonal_swap": sys.diagonal_gap})
-    ev = [e for e in br.events if e.kind == "diagonal_swap"][0]
+    br = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings)
+    ev = next(branch_events(br, sys.diagonal_gap, "diagonal_swap", settings))
     assert np.linalg.norm(sys.residual(ev.z)) < 1e-9
     assert abs(float(sys.diagonal_gap(ev.z[None])[0])) < 1e-9
+
+
+def test_branch_events_scan_a_closed_branch_circularly(ellipse, settings):
+    sys = EdgeRatioSystem(ellipse, 4)
+    loop = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings)
+    assert loop.closed and abs(loop.winding) == 1
+    # restart the loop at an interior sample, which has traced neighbours on
+    # both sides (the trace's own last step closes past its start)
+    k = len(loop) // 3
+    points = np.vstack([loop.points[k:-1], loop.points[:k], loop.points[k : k + 1]])
+    closed = Branch(system=sys, points=points, closed=True, termination="closed")
+    open_slice = Branch(system=sys, points=points[:-1], closed=False, termination="slice")
+    sb0 = sys.star_base_z(points[0])
+
+    def half_turn(z):
+        # exactly zero at the start sample; the star base turns once
+        return np.sin(2.0 * np.pi * (sys.star_base_z(z) - sb0))
+
+    events = list(branch_events(closed, half_turn, "half_turn", settings))
+    assert [e.kind for e in events] == ["half_turn", "half_turn"]
+    assert events[0].index < events[1].index == len(points) - 2  # the wrap pair, last
+    assert np.linalg.norm(sys.chart_diff(events[1].z, points[0])) < 1e-8  # at the start
+    for ev in events:
+        assert abs(ev.value) < 1e-9 and np.linalg.norm(sys.residual(ev.z)) < 1e-9
+    # the open slice has the same samples but no wrap pair
+    (only,) = branch_events(open_slice, half_turn, "half_turn", settings)
+    assert only.index == events[0].index and np.array_equal(only.z, events[0].z)
 
 
 def test_batch_solver_discards_degenerate_corners(ellipse):

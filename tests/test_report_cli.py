@@ -112,6 +112,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["octahedra", "--seed", "-1"],
         ["find-rect", "--corpus", "circle", "--ratio", "-1"],
         ["find-ngon", "--corpus", "circle", "--n", "2"],
+        # non-finite numbers are rejected before any search runs
+        ["find-square", "--corpus", "ellipse", "--a", "inf"],
+        ["find-square", "--corpus", "ellipse", "--a", "1e400"],
+        ["find-ngon", "--corpus", "ellipse", "--n", "3", "--ratios", "nan,1"],
+        ["find-ngon", "--corpus", "ellipse", "--n", "3", "--ratios", "inf,1"],
+        ["find-rect", "--corpus", "ellipse", "--ratio", "nan"],
+        ["find-rect", "--corpus", "ellipse", "--ratio", "inf"],
+        ["octahedra", "--lambda-z", "nan"],
+        ["octahedra", "--lambda-z", "inf"],
         # a subject that does not suit the command
         ["knot-rhombus", "--corpus", "field-random"],
         ["find-rect", "--corpus", "field-random", "--ratio", "2"],

@@ -19,18 +19,26 @@ from pegfinder import (
 from pegfinder import searches, tracing
 from pegfinder.errors import ConvergenceError, DomainError, SearchFailure
 from pegfinder.polygons import canonical, orbit_dist
-from pegfinder.residuals import EdgeRatioSystem, OctahedronSystem, Rhombus3dSystem, SquareSystem
+from pegfinder.fields import as_field
+from pegfinder.residuals import (
+    EdgeRatioSystem,
+    OctahedronSystem,
+    Rhombus3dSystem,
+    SquareSystem,
+    TriangleSystem,
+)
 from pegfinder.searches import (
     FAMILY_RANK_TOL,
     _PlanarRhombusSystem,
     _rhombus_answer,
+    _triangle_answer,
     enumerate_branches,
     polygon_seed_grid,
     simplex_lattice,
     square_orbits,
 )
 from pegfinder.solvers import gauss_newton_batch, refine
-from pegfinder.tracing import PerturbedSystem, chain_distance, trace_branch
+from pegfinder.tracing import PerturbedSystem, branch_events, chain_distance, trace_branch
 
 ELLIPSE_SQUARE_PARAMS = np.sort(
     np.array(
@@ -234,7 +242,30 @@ def test_seed_grid_needs_enough_lattice_steps():
         simplex_lattice(4, 3)
 
 
-def _enumerate_branches_scalar(system, seeds, settings, events, max_branches):
+def test_seed_grid_is_bounded_before_it_is_built(monkeypatch, capsys):
+    from pegfinder.cli import main
+
+    # the largest grid the tests build (count_squares at nx = 300) fits
+    assert polygon_seed_grid(4, 300, 24).shape == (300 * 1771, 4)
+
+    def no_lattice(n, m):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(searches, "simplex_lattice", no_lattice)
+    with pytest.raises(DomainError, match="156,454,740 seeds"):
+        polygon_seed_grid(12, 12, 28)  # find-ngon --n 12: 12 * C(27, 11)
+    assert main(["find-ngon", "--corpus", "ellipse", "--n", "12"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def _eager_events(br, events, settings):
+    """Reference: every sign change of every event function on the branch,
+    bisected up front and ordered by index, then the tracer's own events."""
+    found = [e for kind, fn in events.items() for e in branch_events(br, fn, kind, settings)]
+    return sorted(found, key=lambda e: e.index) + br.events
+
+
+def _enumerate_branches_scalar(system, seeds, settings, max_branches):
     """Reference: one chain_distance call per zero and traced branch."""
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
@@ -243,7 +274,7 @@ def _enumerate_branches_scalar(system, seeds, settings, events, max_branches):
         if any(chain_distance(system, br.points, z) < 2.0 * settings.step_max for br in branches):
             continue
         try:
-            br = trace_branch(system, z, settings, events=events)
+            br = trace_branch(system, z, settings)
         except ConvergenceError:
             continue
         branches.append(br)
@@ -265,25 +296,27 @@ def test_enumerate_branches_traces_what_the_scalar_loop_traced(curve, n):
     settings = TraceSettings()
     sys = EdgeRatioSystem(curve, n)
     seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4))
-    events = {"diagonal_swap": sys.diagonal_gap} if n == 4 and sys.symmetry_order == 4 else None
-    got = enumerate_branches(sys, seeds, settings, events=events, max_branches=24)
-    want = _enumerate_branches_scalar(sys, seeds, settings, events, 24)
+    events = {"diagonal_swap": sys.diagonal_gap} if n == 4 and sys.symmetry_order == 4 else {}
+    got = enumerate_branches(sys, seeds, settings, max_branches=24)
+    want = _enumerate_branches_scalar(sys, seeds, settings, 24)
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
         assert np.array_equal(g.points, w.points)
         assert g.winding == w.winding
-        assert [e.kind for e in g.events] == [e.kind for e in w.events]
-        assert all(np.array_equal(a.z, b.z) for a, b in zip(g.events, w.events))
+        g_events, w_events = _eager_events(g, events, settings), _eager_events(w, events, settings)
+        assert [e.kind for e in g_events] == [e.kind for e in w_events]
+        assert all(np.array_equal(a.z, b.z) for a, b in zip(g_events, w_events))
 
 
 # --- lazy, best-first finders ------------------------------------------------
 
 
 def _eager_branches(system, events, settings):
-    """Reference: trace every branch with its events, then sort them once."""
-    branches = enumerate_branches(
-        system, polygon_seed_grid(4, 10, 8), settings, events=events, max_branches=12
-    )
+    """Reference: trace every branch and bisect all its events, then sort
+    the branches once."""
+    branches = enumerate_branches(system, polygon_seed_grid(4, 10, 8), settings, max_branches=12)
+    for br in branches:
+        br.events = _eager_events(br, events, settings)
     branches.sort(key=lambda b: (not b.closed, -(b.isotropy_order or 1)))
     return branches
 
@@ -380,11 +413,59 @@ def test_find_square_matches_the_eager_search(curve):
     _assert_same_answer(got, want)
 
 
+def _find_two_metric_triangle_eager(source1, source2, settings):
+    """Reference: all isosceles hits of every traced branch bisected up
+    front; a branch's hits are sorted by index, then stably by |value|."""
+    sys = TriangleSystem(source1)
+    d2 = as_field(source2)
+
+    def iso_event(k):
+        def ev(z):
+            D = sys.pairwise(z, field=d2)
+            return D[..., k] - D[..., (k + 1) % 3]
+
+        return ev
+
+    events = {f"isosceles_{k}": iso_event(k) for k in range(3)}
+    branches = enumerate_branches(sys, polygon_seed_grid(3, 12, 8), settings, max_branches=8)
+    hits = [
+        [e for e in _eager_events(br, events, settings) if e.kind != "boundary_approach"]
+        for br in branches
+    ]
+    for br, found in sorted(
+        zip(branches, hits), key=lambda bh: (not bh[0].closed, -(bh[0].isotropy_order or 1))
+    ):
+        if not found:
+            if any(np.max(np.abs(fn(br.points))) < 1e-10 for fn in events.values()):
+                z = br.points[len(br) // 2]
+                return _triangle_answer(sys, d2, z, br, note="isosceles identically")
+            continue
+        found.sort(key=lambda e: abs(e.value))
+        return _triangle_answer(sys, d2, found[0].z, br)
+    raise AssertionError("the reference search found no triangle")
+
+
+@pytest.mark.parametrize(
+    "source1, source2",
+    [
+        (corpus("circle"), corpus("field-sin-mod")),
+        (corpus("ellipse", a=2, b=1), corpus("field-sin-mod")),
+        (corpus("field-random", seed=3), corpus("circle")),
+    ],
+    ids=["circle-sin-mod", "ellipse-sin-mod", "random3-circle"],
+)
+def test_two_metric_triangle_matches_the_eager_search(source1, source2):
+    settings = TraceSettings()
+    got = find_two_metric_triangle(source1, source2, settings)
+    want = _find_two_metric_triangle_eager(source1, source2, settings)
+    assert got[0] == want[0] and repr(got[1]) == repr(want[1])
+
+
 def test_finders_bisect_on_the_system_the_branch_was_traced_on(monkeypatch, trefoil, ellipse):
     # after a stall fallback a branch lives on its PerturbedSystem, and the
     # eager search bisected its events there
-    def perturbed_trace(system, z, settings, events=None):
-        return trace_branch(PerturbedSystem(system, delta=1e-3), z, settings, events=events)
+    def perturbed_trace(system, z, settings):
+        return trace_branch(PerturbedSystem(system, delta=1e-3), z, settings)
 
     monkeypatch.setattr(searches, "trace_branch", perturbed_trace)
     settings = TraceSettings()
