@@ -59,17 +59,7 @@ from .residuals import (
     SpecialQuadSliceSystem,
     SquareSystem,
     TriangleSystem,
-    edge_diag_map,
-    edge_ratio_residual,
     octahedron_group,
-    octahedron_residual,
-    parallelogram_residual,
-    planarity_angle,
-    rectangle_residual,
-    rhombus3d_residual,
-    special_quad_residual,
-    square_residual,
-    triangle_residual,
 )
 from .searches import (
     edge_ratio_branches,

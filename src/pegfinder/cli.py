@@ -154,6 +154,8 @@ def main(argv=None) -> int:
         settings = TraceSettings(corrector_tol=args.tol, seed=args.seed)
         subject = _load_subject(args, params)
         field2 = field_from_spec(_read_spec(args.field2)) if getattr(args, "field2", None) else None
+        if getattr(args, "ratios", None):
+            args.ratios = [float(x) for x in args.ratios.split(",")]
     except (OSError, ValueError, TypeError, KeyError, PegfinderError) as err:
         # unreadable input, bad settings or corpus parameters: usage errors
         print(f"pegfinder {args.cmd}: {err}", file=sys.stderr)
@@ -226,10 +228,7 @@ def _run(args, subject, field2, settings, doc) -> str | None:
         return render_svg(subject, polygons=[vertices(rect)])
 
     if cmd == "find-ngon":
-        rhos = None
-        if args.ratios:
-            rhos = [float(x) for x in args.ratios.split(",")]
-        branches = edge_ratio_branches(subject, args.n, rhos, settings)
+        branches = edge_ratio_branches(subject, args.n, args.ratios or None, settings)
         doc.branches = [branch_dict(b) for b in branches]
         doc.events = [ev for b in doc.branches for ev in b["events"]]
         doc.result = {

@@ -28,7 +28,7 @@ from .searches import (
     square_orbits,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import TraceSettings, branch_events, trace_branch
+from .tracing import TraceSettings, branch_events, image_branch, trace_branch
 
 
 @dataclass
@@ -74,7 +74,6 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
     sq = SquareSystem(curve)
     seeds = polygon_seed_grid(4, nx, m, sq.symmetry_order)
     reps, conditions, close_pairs = square_orbits(sq, seeds, prune_after=1, prune_level=0.6)
-    notes = []
     flagged = [i for i, c in enumerate(conditions) if c < FAMILY_RANK_TOL]
     if flagged:
         raise NonIsolatedSolutionsError(
@@ -107,7 +106,6 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
         orbits=orbits,
         resolution=(nx, m, len(seeds), sq.symmetry_order),
         seed=settings.seed,
-        notes=notes,
         verdicts={"parity_odd": len(reps) % 2 == 1},
     )
 
@@ -168,6 +166,11 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
     """Trace the rectangle branch through every labeled square and check the
     per-component square parity bookkeeping.
 
+    Each square orbit is traced once, from its first labeling on no known
+    component; the other labelings' components are the branch's images
+    (``rect.images``), whose squares are the refined squares relabeled.
+    Labeled squares are the bookkeeping unit: an image whose labeling of
+    the traced square is already on a component is not added again.
     Closed components are classified by isotropy order (1, 2, or 4); open
     components (branches that run into the chart boundary, which real curves
     produce) are excluded from the parity bookkeeping with a warning.
@@ -178,32 +181,31 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
     sq = SquareSystem(curve)
     components = []
 
-    def containing(p_lab):
-        for comp in components:
-            # labeled squares are the bookkeeping unit: no orbit quotient
-            if any(param_dist(p_lab, s) < 1e-4 for s in comp["squares"]):
-                return comp
-        return None
+    def contained(p_lab):
+        # labeled squares are the bookkeeping unit: no orbit quotient
+        return any(param_dist(p_lab, s) < 1e-4 for c in components for s in c["squares"])
 
-    # one labeled square at a time, in label order: a labeling already on a
-    # traced component is not traced again
     for orbit in report.orbits:
         p0 = PolygonParam(orbit["base"], orbit["gaps"])
-        for k in range(4):
-            p_lab = cyclic_shift(p0, k)
-            if containing(p_lab) is not None:
+        labelings = [cyclic_shift(p0, k) for k in range(4)]
+        p_lab = next((p for p in labelings if not contained(p)), None)
+        if p_lab is None:
+            continue
+        br = trace_branch(rect, rect.from_param(p_lab), settings)
+        squares = [
+            sq.to_param(refine(sq, ev.z, tol=1e-10))
+            for ev in branch_events(br, rect.fatness, "square_on_branch", settings)
+        ]
+        for k, points in enumerate(rect.images(br.points)):
+            if k and contained(cyclic_shift(p_lab, k)):
                 continue
-            br = trace_branch(rect, rect.from_param(p_lab), settings)
-            squares = [
-                sq.to_param(refine(sq, ev.z, tol=1e-10))
-                for ev in branch_events(br, rect.fatness, "square_on_branch", settings)
-            ]
+            image = image_branch(br, points) if k else br
             components.append(
                 {
-                    "branch": br,
-                    "squares": squares,
-                    "closed": br.closed,
-                    "isotropy": br.isotropy_order if br.closed else None,
+                    "branch": image,
+                    "squares": [cyclic_shift(s, k) for s in squares],
+                    "closed": image.closed,
+                    "isotropy": image.isotropy_order if image.closed else None,
                     "square_events": len(squares),
                 }
             )

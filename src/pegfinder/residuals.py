@@ -11,9 +11,11 @@ the special-quadrilateral slice and the octahedron keep their own.
 
 Every system owns its chart: ``chart_dim`` and ``codomain_dim`` are the
 lengths of z and of the residual, ``circle_coords`` the entries of z on
-R/Z, and ``chart_diff``, ``canonical`` (one point per relabeling orbit) and
-``orbit_dist`` are all the chart arithmetic the tracer and the orbit dedup
-use.  Charts (flat coordinate vectors z for the solvers and the tracer):
+R/Z, and ``chart_diff``, ``canonical`` (one point per relabeling orbit),
+``orbit_dist`` and ``images`` (the relabelings under the system's symmetry
+group) are all the chart arithmetic the tracer, the orbit dedup and the
+branch search use.  Charts (flat coordinate vectors z for the solvers and
+the tracer):
 
 * P_n: z = (base, t_0, ..., t_{n-2}); the last gap is 1 minus the rest,
   so the simplex constraint is built into the chart; base on R/Z.
@@ -33,10 +35,10 @@ import numpy as np
 from scipy.linalg import helmert
 
 from .circle import circle_dist, signed_gap, wrap
-from .curves import ClosedCurve, EmbeddedSphere
+from .curves import EmbeddedSphere
 from .errors import DegenerateConfigurationError, DomainError
-from .fields import DistanceField, as_field
-from .polygons import PolygonParam, vertices
+from .fields import as_field
+from .polygons import PolygonParam
 
 _TINY = 1e-300
 
@@ -84,6 +86,11 @@ class ResidualSystem:
     def orbit_dist(self, Z, z):
         """Distance from the orbit of z to each point of Z (max norm)."""
         return np.max(np.abs(self.chart_diff(z, Z)), axis=-1)
+
+    def images(self, Z):
+        """The relabelings of the chart points Z under the system's symmetry
+        group, stacked on a new leading axis, identity first."""
+        return np.asarray(Z, dtype=float)[None]
 
     def residual(self, z):
         raise NotImplementedError
@@ -173,11 +180,17 @@ class PolygonSystem(ResidualSystem):
             return Z
         return self.shift(Z, (self.n // s) * ((s - np.floor(self.star_base_z(Z) * s).astype(int)) % s))
 
+    def images(self, Z):
+        """Z shifted by each multiple of n / symmetry_order, on a new leading
+        axis: the equivariant relabelings, identity first."""
+        Z = np.asarray(Z, dtype=float)
+        k = np.arange(0, self.n, self.n // self.symmetry_order)
+        return self.shift(np.broadcast_to(Z, k.shape + Z.shape), k.reshape(k.shape + (1,) * (Z.ndim - 1)))
+
     def orbit_dist(self, Z, z):
         """Smallest max-norm distance (base on the circle, all n gaps) from
         the equivariant relabelings of z to each point of Z."""
-        Z, k = np.asarray(Z, dtype=float), np.arange(0, self.n, self.n // self.symmetry_order)
-        W = self.shift(np.broadcast_to(z, (len(k), self.n)), k)
+        Z, W = np.asarray(Z, dtype=float), self.images(z)
         base = circle_dist(W[:, 0], Z[..., None, 0])
         gaps = np.max(np.abs(self.gaps_of(W) - self.gaps_of(Z)[..., None, :]), axis=-1)
         return np.min(np.maximum(base, gaps), axis=-1)
@@ -566,90 +579,14 @@ class OctahedronSystem(ResidualSystem):
     def boundary_margins(self, z):
         return self.min_separation(z) - self.fat_diagonal
 
+    def images(self, Z):
+        """Z relabeled by each of the 48 label symmetries, identity first."""
+        Z = np.asarray(Z, dtype=float)
+        return np.stack([self.apply_label_permutation(Z, sigma) for sigma in octahedron_group()])
+
     def apply_label_permutation(self, z, sigma):
         q = self.points(z)
         out = np.empty_like(q)
         for v in range(6):
             out[..., sigma[v], :] = q[..., v, :]
         return out.reshape(z.shape)
-
-
-# --- named operations over the systems --------------------------------------
-
-
-def edge_diag_map(curve: ClosedCurve, p: PolygonParam):
-    """(e12, e23, e34, e41, d13, d24) for a quadrilateral parameter."""
-    if p.n != 4:
-        raise DomainError("edge/diagonal map needs n = 4")
-    return as_field(curve).pair_dists(vertices(p)[None, :], QUAD_PAIRS)[0]
-
-
-def square_residual(curve, p: PolygonParam):
-    sys = SquareSystem(curve)
-    return sys.residual(sys.from_param(p))
-
-
-def edge_ratio_residual(curve, p: PolygonParam, rhos):
-    sys = EdgeRatioSystem(curve, p.n, rhos)
-    return sys.residual(sys.from_param(p))
-
-
-def rectangle_residual(curve, p: PolygonParam):
-    sys = RectangleSystem(curve)
-    return sys.residual(sys.from_param(p))
-
-
-def parallelogram_residual(curve, p: PolygonParam, r):
-    sys = ParallelogramSystem(curve, r)
-    return sys.residual(sys.from_param(p))
-
-
-def rhombus3d_residual(curve, p: PolygonParam):
-    sys = Rhombus3dSystem(curve)
-    return sys.residual(sys.from_param(p))
-
-
-def planarity_angle(curve, p: PolygonParam) -> float:
-    sys = Rhombus3dSystem(curve)
-    return sys.planarity_angle(sys.from_param(p))
-
-
-def triangle_residual(field: DistanceField, x, y, z):
-    V = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)], axis=-1)
-    return as_field(field).pair_dists(V, TriangleSystem.pairs) @ TriangleSystem.mix.T
-
-
-def special_quad_residual(source, t, x2, x3, y=None, eps=None):
-    """Residual plus classifier flags for the slice system.
-
-    The default path takes x1 = t and x4 = t + eps; eps defaults to the arc
-    from t to x4 implied by the path.
-    """
-    if eps is None and y is None:
-        raise DomainError("need either eps or an explicit path")
-    sys = SpecialQuadSliceSystem(source, eps if eps is not None else 0.5, path=y)
-    x1, _ = sys._ends(np.asarray(t, dtype=float))
-    u1 = wrap(np.asarray(x2, dtype=float) - x1)
-    u2 = wrap(np.asarray(x3, dtype=float) - np.asarray(x2, dtype=float))
-    z = np.stack([np.asarray(t, dtype=float), u1, u2], axis=-1)
-    if not sys.guard(z):
-        raise DomainError("vertices are not in counter-clockwise slice order")
-    return sys.residual(z), sys.classify(z)
-
-
-def octahedron_residual(sphere: EmbeddedSphere, q):
-    """Mean-free edge-length coordinates (R^11) for six unit-sphere points."""
-    q = np.asarray(q, dtype=float)
-    if q.shape[-2:] != (6, 3):
-        raise DomainError("need six points in R^3")
-    sys = OctahedronSystem(sphere)
-    z = q.reshape(q.shape[:-2] + (18,))
-    if not sys.guard(z):
-        raise DomainError("configuration violates the fat-diagonal guard")
-    return sys.edge_lengths(z) @ _HELMERT11.T
-
-
-def shift_square_residual(r):
-    """Exact image of the square residual under one cyclic relabeling."""
-    r = np.asarray(r, dtype=float)
-    return np.stack([r[..., 1], r[..., 2], -r[..., 0] - r[..., 1] - r[..., 2], -r[..., 3]], axis=-1)

@@ -27,14 +27,13 @@ from .residuals import (
     SquareSystem,
     TriangleSystem,
     central_difference,
-    octahedron_group,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
 from .tracing import (
-    Branch,
     TraceSettings,
     branch_events,
     chain_distance,
+    image_branch,
     near_chain,
     trace_branch,
 )
@@ -115,27 +114,37 @@ def dedup_orbits(system, zeros, tol=1e-5, max_merge=512):
 
 
 def enumerate_branches(system, seeds, settings=None, max_branches=32):
-    """Trace every distinct zero-set component hit by the seed population.
-
-    The converged zeros are visited in sorted order, and a zero is traced
-    unless a branch traced before it passes within 2 step_max.  After each
-    trace one ``near_chain`` mask marks the later zeros its branch covers.
-    """
-    return list(_iter_branches(system, seeds, settings, max_branches))
+    """Every zero-set component through the converged seeds, traced once
+    per symmetry orbit (see ``_iter_orbits``)."""
+    return list(_iter_branches(system, seeds, settings or TraceSettings(), max_branches))
 
 
-def _iter_branches(system, seeds, settings=None, max_branches=32):
-    """``enumerate_branches`` as a generator: each branch is yielded as soon
-    as it is traced, so a caller that stops early traces no more."""
-    settings = settings or TraceSettings()
+def _iter_branches(system, seeds, settings, max_branches):
+    """``enumerate_branches`` as a generator: a caller that stops early
+    traces no more."""
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
+    for orbit in _iter_orbits(system, zeros, settings, max_branches):
+        yield from orbit
+
+
+def _iter_orbits(system, zeros, settings, max_branches):
+    """Trace the components through the converged zeros, one per symmetry
+    orbit, yielding each orbit's components as soon as they are known.
+
+    The zeros are visited in sorted order.  An uncovered zero is traced, and
+    its orbit is that branch followed by each image from
+    ``br.system.images`` whose first point is on no component yielded
+    before it; images are made by ``image_branch``, not traced.  Every
+    yielded component marks the later zeros it covers (within 2 step_max)
+    with one ``near_chain`` mask.  At most max_branches components are
+    yielded.
+    """
     if len(zeros) == 0:
         return
-    order = np.lexsort(np.round(zeros, 8).T[::-1])
-    zeros = zeros[order]
+    zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
     membership_tol = 2.0 * settings.step_max
     covered = np.zeros(len(zeros), dtype=bool)
-    traced = 0
+    found = []
     for i, z in enumerate(zeros):
         if covered[i]:
             continue
@@ -143,12 +152,20 @@ def _iter_branches(system, seeds, settings=None, max_branches=32):
             br = trace_branch(system, z, settings)
         except ConvergenceError:
             continue
-        yield br
-        traced += 1
-        if traced >= max_branches:
+        orbit = [br]
+        for points in br.system.images(br.points)[1:]:
+            if len(found) + len(orbit) >= max_branches:
+                break
+            known = found + orbit
+            if all(chain_distance(c.system, c.points, points[0]) >= membership_tol for c in known):
+                orbit.append(image_branch(br, points))
+        yield orbit
+        found += orbit
+        if len(found) >= max_branches:
             return
-        later = i + 1 + np.flatnonzero(~covered[i + 1 :])
-        covered[later] = near_chain(system, br.points, zeros[later], membership_tol)
+        for comp in orbit:
+            later = i + 1 + np.flatnonzero(~covered[i + 1 :])
+            covered[later] = near_chain(system, comp.points, zeros[later], membership_tol)
 
 
 def _best_first(branches, top):
@@ -526,10 +543,9 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
     """All regular-octahedron solution circles on a scaled sphere.
 
     Each solution circle is traced once per orbit of the 48-element label
-    symmetry group: a converged seed is skipped when it lies on a known
-    component, and a newly traced closed circle adds every label image that
-    is not already known.  On the z-scaled sphere the 16 circles form one
-    orbit, so a single trace finds them all.
+    symmetry group (``_iter_orbits``), and only closed circles count as
+    components.  On the z-scaled sphere the 16 circles form one orbit, so a
+    single trace finds them all.
     """
     settings = settings or TraceSettings()
     if sphere.is_round:
@@ -549,29 +565,13 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
     zeros = gauss_newton_batch(
         sys, np.array(seeds), tol=settings.corrector_tol * 0.5, max_iter=120, prune_level=5.0
     )
-    membership_tol = 2.0 * settings.step_max
-
-    def known(z):
-        return any(chain_distance(sys, c.points, z) < membership_tol for c in components)
-
     components = []
     traced = 0
-    for z in zeros:
-        if known(z):
-            continue
-        try:
-            br = trace_branch(sys, z, settings)
-        except ConvergenceError:
-            continue
-        if not br.closed:
-            continue
-        traced += 1
-        for sigma in octahedron_group():
-            pts = sys.apply_label_permutation(br.points, sigma)
-            if not known(pts[0]):
-                components.append(
-                    Branch(system=sys, points=pts, closed=True, termination=br.termination)
-                )
+    # no cap: each zero's orbit holds at most 48 components
+    for orbit in _iter_orbits(sys, zeros, settings, max_branches=48 * n_seeds):
+        if orbit[0].closed:
+            traced += 1
+            components += orbit
     if not components:
         raise SearchFailure("no octahedron circle found from the seed population", {"seeds": n_seeds})
     residuals = [
@@ -589,11 +589,13 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
 
 
 def edge_ratio_branches(curve: ClosedCurve, n, rhos=None, settings=None, nx=12, m=None):
-    """Every component of the prescribed-edge-ratio system hit by the seed grid."""
+    """Every component of the prescribed-edge-ratio system hit by the seed
+    grid.  Only the fundamental domain of the system's Z_n symmetry is
+    seeded: the other members of a branch's orbit are its images."""
     settings = settings or TraceSettings()
     sys = EdgeRatioSystem(curve, n, rhos)
     m = m or max(8, 2 * n + 4)
-    seeds = polygon_seed_grid(n, nx, m)
+    seeds = polygon_seed_grid(n, nx, m, sys.symmetry_order)
     branches = enumerate_branches(sys, seeds, settings, max_branches=24)
     if n == 4 and sys.symmetry_order == 4:
         # the diagonal swaps (squares) go ahead of the boundary approaches

@@ -318,7 +318,7 @@ def trace_branch(system, z0, settings=None):
 
     branch = Branch(system=system, points=points, closed=closed, termination=termination)
     if closed and hasattr(system, "star_base_z"):
-        branch.winding = _winding(system, points) * _orientation(system, points)
+        branch.winding = _oriented_winding(system, points)
     if closed and system.symmetry_order > 1:
         branch.isotropy_order = _isotropy(system, branch, settings)
     if termination.endswith("boundary"):
@@ -326,6 +326,28 @@ def trace_branch(system, z0, settings=None):
     if termination.startswith("boundary"):
         branch.events.append(Event("boundary_approach", points[0], 0))
     return branch
+
+
+def image_branch(branch, points):
+    """The branch carried onto ``points``, one of its relabelings from
+    ``branch.system.images``: closure, termination and isotropy carry over,
+    the events move to the same samples of the image, and the winding is
+    recomputed on the image samples."""
+    image = Branch(
+        system=branch.system,
+        points=points,
+        closed=branch.closed,
+        termination=branch.termination,
+        events=[Event(e.kind, points[e.index], e.index, e.value) for e in branch.events],
+        isotropy_order=branch.isotropy_order,
+    )
+    if branch.winding is not None:
+        image.winding = _oriented_winding(branch.system, points)
+    return image
+
+
+def _oriented_winding(system, points):
+    return _winding(system, points) * _orientation(system, points)
 
 
 def _winding(system, points):

@@ -12,13 +12,14 @@ from pegfinder import (
     orientation_check,
     vertices,
 )
-from pegfinder import _threads, solvers
+from pegfinder import _threads, counting, solvers
 from pegfinder.counting import CountReport
 from pegfinder.errors import DomainError
 from pegfinder.polygons import PolygonParam, from_vertices, orbit_dist
 from pegfinder.residuals import SquareSystem
 from pegfinder.searches import dedup_orbits, polygon_seed_grid
 from pegfinder.solvers import gauss_newton_batch, refine
+from pegfinder.tracing import trace_branch
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,42 @@ def test_three_square_orbits_and_rectangle_bookkeeping():
     comps = classify_rectangle_components(curve, square_report=rep)
     assert comps.total == 12
     assert comps.verdicts["total_matches_orbit_count"]
+
+
+@pytest.mark.parametrize(
+    "name, params, orbits, components, closed, total",
+    [
+        ("cusp", {}, 3, 12, 0, 12),
+        ("fourier-random", {"degree": 10, "amp": 0.6, "seed": 1}, 7, 12, 4, 28),
+        # seed 4 holds a near-fold pair of square orbits 0.014 apart
+        ("fourier-random", {"degree": 10, "amp": 0.6, "seed": 4}, 5, 8, 0, 20),
+    ],
+    ids=["cusp", "d10-seed1", "d10-seed4"],
+)
+def test_rectangle_bookkeeping_on_multi_orbit_curves(
+    monkeypatch, name, params, orbits, components, closed, total
+):
+    curve = corpus(name, **params)
+    rep = count_squares(curve)
+    traces = []
+
+    def counted_trace(*args):
+        traces.append(args)
+        return trace_branch(*args)
+
+    monkeypatch.setattr(counting, "trace_branch", counted_trace)
+    comps = classify_rectangle_components(curve, square_report=rep)
+    assert rep.orbit_count == orbits
+    assert (comps.orbit_count, sum(o["closed"] for o in comps.orbits), comps.total) == (
+        components,
+        closed,
+        total,
+    )
+    assert all(v for v in comps.verdicts.values() if isinstance(v, bool))
+    assert comps.verdicts["total_squares_mod8"] == 4
+    # one trace per square orbit at most; the other labelings are images
+    # (tracing every uncontained labeling took 12, 12 and 8)
+    assert len(traces) <= orbits
 
 
 @pytest.mark.parametrize(

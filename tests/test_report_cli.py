@@ -117,6 +117,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--corpus", "ellipse", "--a", "1e400"],
         ["find-ngon", "--corpus", "ellipse", "--n", "3", "--ratios", "nan,1"],
         ["find-ngon", "--corpus", "ellipse", "--n", "3", "--ratios", "inf,1"],
+        ["find-ngon", "--corpus", "ellipse", "--n", "4", "--ratios", "1,,1"],
+        ["find-ngon", "--corpus", "ellipse", "--n", "4", "--ratios", "x,1,1"],
         ["find-rect", "--corpus", "ellipse", "--ratio", "nan"],
         ["find-rect", "--corpus", "ellipse", "--ratio", "inf"],
         ["octahedra", "--lambda-z", "nan"],

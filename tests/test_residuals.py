@@ -19,25 +19,32 @@ from pegfinder import (
     TriangleSystem,
     corpus,
     cyclic_shift,
-    edge_diag_map,
-    edge_ratio_residual,
     from_vertices,
     octahedron_group,
-    octahedron_residual,
-    parallelogram_residual,
-    planarity_angle,
-    rectangle_residual,
-    rhombus3d_residual,
-    special_quad_residual,
-    square_residual,
-    triangle_residual,
 )
 from pegfinder.polygons import param_dist
-from pegfinder.residuals import octahedron_edge_permutation, shift_square_residual
+from pegfinder.residuals import QUAD_PAIRS, octahedron_edge_permutation
 
 
 def chord_circle(u):
     return 2.0 * abs(np.sin(np.pi * u))
+
+
+def residual_at(sys, p):
+    """The system's residual at the polygon parameter p."""
+    return sys.residual(sys.from_param(p))
+
+
+def edge_diag(curve, p):
+    """(e12, e23, e34, e41, d13, d24) of a quadrilateral parameter."""
+    sys = SquareSystem(curve)
+    return sys.dists(sys.from_param(p), QUAD_PAIRS)
+
+
+def shift_square_residual(r):
+    """Exact image of the square residual under one cyclic relabeling."""
+    r = np.asarray(r, dtype=float)
+    return np.stack([r[..., 1], r[..., 2], -r[..., 0] - r[..., 1] - r[..., 2], -r[..., 3]], axis=-1)
 
 
 def gaps4():
@@ -52,12 +59,12 @@ def gaps4():
 def test_edge_diag_square(circle):
     p = PolygonParam(0.0, [0.25] * 4)
     expected = [np.sqrt(2)] * 4 + [2.0, 2.0]
-    assert np.allclose(edge_diag_map(circle, p), expected, atol=1e-14)
+    assert np.allclose(edge_diag(circle, p), expected, atol=1e-14)
 
 
 def test_edge_diag_degenerate(circle):
     p = PolygonParam(0.3, [0.0, 0.0, 1.0, 0.0])
-    assert np.allclose(edge_diag_map(circle, p), 0.0)
+    assert np.allclose(edge_diag(circle, p), 0.0)
 
 
 def test_edge_diag_asymmetric_circle(circle):
@@ -70,7 +77,7 @@ def test_edge_diag_asymmetric_circle(circle):
         2.0,
         2.0,
     ]
-    assert np.allclose(edge_diag_map(circle, p), expected, atol=1e-13)
+    assert np.allclose(edge_diag(circle, p), expected, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,8 +85,8 @@ def test_edge_diag_asymmetric_circle(circle):
 def test_edge_diag_equivariance_exact(base, gaps):
     curve = corpus("ellipse", a=2, b=1)
     p = PolygonParam(base, gaps)
-    before = edge_diag_map(curve, p)
-    after = edge_diag_map(curve, cyclic_shift(p))
+    before = edge_diag(curve, p)
+    after = edge_diag(curve, cyclic_shift(p))
     # edges permute cyclically, diagonals swap; the only float slack is the
     # re-association of the cumulative gap sums (last-ulp scale)
     assert np.allclose(after[:4], np.roll(before[:4], -1), rtol=0, atol=1e-13)
@@ -91,7 +98,7 @@ def test_edge_diag_equivariance_exact(base, gaps):
 
 def test_square_residual_zero_on_circle_square(circle):
     p = PolygonParam(0.12, [0.25] * 4)
-    assert np.max(np.abs(square_residual(circle, p))) < 1e-14
+    assert np.max(np.abs(residual_at(SquareSystem(circle), p))) < 1e-14
 
 
 def test_square_residual_on_algebraic_ellipse_square(ellipse):
@@ -100,7 +107,7 @@ def test_square_residual_on_algebraic_ellipse_square(ellipse):
     # vertices (+-2/sqrt5, +-2/sqrt5) lie on the ellipse and form a square
     pts = ellipse.eval(np.array([t1, 0.5 - t1]))
     assert np.allclose(np.abs(pts), 2 / np.sqrt(5), atol=1e-12)
-    assert np.linalg.norm(square_residual(ellipse, p)) < 1e-9
+    assert np.linalg.norm(residual_at(SquareSystem(ellipse), p)) < 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,8 +115,8 @@ def test_square_residual_on_algebraic_ellipse_square(ellipse):
 def test_square_residual_shift_formula(base, gaps):
     curve = corpus("fourier-random", seed=2)
     p = PolygonParam(base, gaps)
-    r = square_residual(curve, p)
-    r_shift = square_residual(curve, cyclic_shift(p))
+    r = residual_at(SquareSystem(curve), p)
+    r_shift = residual_at(SquareSystem(curve), cyclic_shift(p))
     assert np.allclose(r_shift, shift_square_residual(r), atol=1e-12)
 
 
@@ -118,18 +125,18 @@ def test_square_residual_shift_formula(base, gaps):
 
 def test_edge_ratio_square_zero(circle):
     p = PolygonParam(0.0, [0.25] * 4)
-    assert np.allclose(edge_ratio_residual(circle, p, [1, 1, 1]), 0.0, atol=1e-14)
+    assert np.allclose(residual_at(EdgeRatioSystem(circle, p.n, [1, 1, 1]), p), 0.0, atol=1e-14)
 
 
 def test_edge_ratio_equilateral_triangle(circle):
     p = from_vertices([0.0, 1 / 3, 2 / 3])
-    assert np.allclose(edge_ratio_residual(circle, p, [1, 1]), 0.0, atol=1e-14)
+    assert np.allclose(residual_at(EdgeRatioSystem(circle, p.n, [1, 1]), p), 0.0, atol=1e-14)
 
 
 def test_edge_ratio_rhombus_mismatch(circle):
     u = 0.2
     p = from_vertices([0.0, u, 0.5, 0.5 + u])
-    r = edge_ratio_residual(circle, p, [1, 1, 1])
+    r = residual_at(EdgeRatioSystem(circle, p.n, [1, 1, 1]), p)
     assert r[0] == pytest.approx(chord_circle(0.2) - chord_circle(0.3), abs=1e-13)
     assert abs(r[0]) > 1e-2
 
@@ -149,9 +156,9 @@ def test_edge_ratio_polygon_inequality():
 
 def test_special_quad_symmetric_circle_not_special(circle):
     eps = 0.1
-    res, flags = special_quad_residual(
-        circle, t=0.0, x2=eps / 3, x3=2 * eps / 3, eps=eps
-    )
+    sys = SpecialQuadSliceSystem(circle, eps)
+    z = np.array([0.0, eps / 3, eps / 3])  # t = 0, x2 = eps / 3, x3 = 2 eps / 3
+    res, flags = sys.residual(z), sys.classify(z)
     assert np.max(np.abs(res)) < 1e-12
     assert flags["a"] == pytest.approx(chord_circle(eps / 3), abs=1e-14)
     assert flags["b"] == pytest.approx(chord_circle(eps), abs=1e-14)
@@ -161,8 +168,9 @@ def test_special_quad_symmetric_circle_not_special(circle):
 
 
 def test_special_quad_order_violation(circle):
-    with pytest.raises(DomainError):
-        special_quad_residual(circle, t=0.0, x2=0.2, x3=0.05, eps=0.1)
+    sys = SpecialQuadSliceSystem(circle, 0.1)
+    z = np.array([0.0, 0.2, 0.85])  # t = 0, x2 = 0.2, x3 = 0.05: not in slice order
+    assert not sys.guard(z)
 
 
 def test_special_quad_path_size(circle):
@@ -177,19 +185,19 @@ def test_special_quad_path_size(circle):
 def test_parallelogram_midpoints_on_circle_rectangles(circle):
     for u in (0.1, 0.2, 0.35):
         p = from_vertices([0.0, u, 0.5, 0.5 + u])
-        r = parallelogram_residual(circle, p, 1.7)
+        r = residual_at(ParallelogramSystem(circle, 1.7), p)
         assert np.allclose(r[:2], 0.0, atol=1e-13)
 
 
 def test_parallelogram_square_ratio_one(circle):
     p = PolygonParam(0.0, [0.25] * 4)
-    assert np.allclose(parallelogram_residual(circle, p, 1.0), 0.0, atol=1e-13)
+    assert np.allclose(residual_at(ParallelogramSystem(circle, 1.0), p), 0.0, atol=1e-13)
 
 
 def test_parallelogram_ratio_two_zero_at_arctan(circle):
     u = np.arctan(2.0) / np.pi  # tan(pi u) = 2
     p = from_vertices([0.0, u, 0.5, 0.5 + u])
-    assert np.linalg.norm(parallelogram_residual(circle, p, 2.0)) < 1e-12
+    assert np.linalg.norm(residual_at(ParallelogramSystem(circle, 2.0), p)) < 1e-12
 
 
 def test_parallelogram_requires_planar():
@@ -200,9 +208,9 @@ def test_parallelogram_requires_planar():
 def test_rectangle_residual_examples(circle):
     for u in (0.1, 0.25, 0.4):
         p = from_vertices([0.0, u, 0.5, 0.5 + u])
-        assert np.allclose(rectangle_residual(circle, p), 0.0, atol=1e-13)
+        assert np.allclose(residual_at(RectangleSystem(circle), p), 0.0, atol=1e-13)
     p = from_vertices([0.0, 0.1, 0.4, 0.6])
-    r = rectangle_residual(circle, p)
+    r = residual_at(RectangleSystem(circle), p)
     expected = [
         chord_circle(0.1) - chord_circle(0.2),
         chord_circle(0.3) - chord_circle(0.4),
@@ -217,12 +225,12 @@ def test_rectangle_residual_examples(circle):
 
 def test_triangle_residual_circle_field():
     f = corpus("field-circle")
-    assert np.allclose(triangle_residual(f, 0.0, 1 / 3, 2 / 3), 0.0, atol=1e-14)
+    assert np.allclose(TriangleSystem(f).residual(np.array([0.0, 1 / 3, 1 / 3])), 0.0, atol=1e-14)
 
 
 def test_triangle_residual_sin_field():
     f = corpus("field-sin-mod")
-    r = triangle_residual(f, 0.0, 1 / 3, 2 / 3)
+    r = TriangleSystem(f).residual(np.array([0.0, 1 / 3, 1 / 3]))
     # all pairwise base distances equal sin(pi/3); only the modulation differs
     assert np.max(np.abs(r)) < 0.2
 
@@ -239,13 +247,15 @@ def _skew_rhombus_curve(h):
 def test_rhombus3d_planar_curve_angle_is_pi():
     circle3 = corpus("tilted-circle", angle=0.0)
     p = from_vertices([0.0, 0.2, 0.5, 0.7])
-    assert planarity_angle(circle3, p) == pytest.approx(np.pi, abs=1e-9)
+    sys = Rhombus3dSystem(circle3)
+    assert sys.planarity_angle(sys.from_param(p)) == pytest.approx(np.pi, abs=1e-9)
 
 
 def test_rhombus3d_skew_quadrilateral():
     curve, p = _skew_rhombus_curve(1.0)
-    assert np.allclose(rhombus3d_residual(curve, p), 0.0, atol=1e-12)
-    ang = planarity_angle(curve, p)
+    sys = Rhombus3dSystem(curve)
+    assert np.allclose(residual_at(sys, p), 0.0, atol=1e-12)
+    ang = sys.planarity_angle(sys.from_param(p))
     assert ang == pytest.approx(1.5 * np.pi, abs=1e-9)
     assert abs(ang - np.pi) > 1.0
 
@@ -254,7 +264,8 @@ def test_rhombus3d_degenerate_angle_error():
     curve, _ = _skew_rhombus_curve(1.0)
     degenerate = PolygonParam(0.0, [0.0, 0.5, 0.0, 0.5])
     with pytest.raises(DegenerateConfigurationError):
-        planarity_angle(curve, degenerate)
+        sys = Rhombus3dSystem(curve)
+        sys.planarity_angle(sys.from_param(degenerate))
 
 
 # --- octahedron --------------------------------------------------------------------
@@ -267,7 +278,8 @@ def _regular_octahedron():
 
 def test_octahedron_residual_regular_zero():
     sph = corpus("scaled-sphere", lx=1.0, ly=1.0, lz=1.0)
-    assert np.allclose(octahedron_residual(sph, _regular_octahedron()), 0.0, atol=1e-14)
+    sys = OctahedronSystem(sph)
+    assert np.allclose(sys.residual(_regular_octahedron().reshape(18)), 0.0, atol=1e-14)
 
 
 def test_octahedron_rotation_invariance(rng):
@@ -275,7 +287,7 @@ def test_octahedron_rotation_invariance(rng):
     M = rng.normal(size=(3, 3))
     Q, _ = np.linalg.qr(M)
     rotated = _regular_octahedron() @ Q.T
-    assert np.allclose(octahedron_residual(sph, rotated), 0.0, atol=1e-12)
+    assert np.allclose(OctahedronSystem(sph).residual(rotated.reshape(18)), 0.0, atol=1e-12)
 
 
 def test_octahedron_group_structure():
@@ -295,10 +307,10 @@ def test_octahedron_norm_invariance_under_group(rng):
         z = q.reshape(18)
         if not sys.guard(z):
             continue
-        base_norm = np.linalg.norm(octahedron_residual(sph, q))
+        base_norm = np.linalg.norm(sys.residual(z))
         for sigma in octahedron_group()[::7]:
-            qp = sys.apply_label_permutation(z, sigma).reshape(6, 3)
-            assert np.linalg.norm(octahedron_residual(sph, qp)) == pytest.approx(
+            zp = sys.apply_label_permutation(z, sigma)
+            assert np.linalg.norm(sys.residual(zp)) == pytest.approx(
                 base_norm, abs=1e-12
             )
 
@@ -308,8 +320,7 @@ def test_octahedron_fat_diagonal_guard():
     q = _regular_octahedron()
     q[1] = q[0] + 1e-4  # two labels nearly coincide
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    with pytest.raises(DomainError):
-        octahedron_residual(sph, q)
+    assert not OctahedronSystem(sph).guard(q.reshape(18))
 
 
 def test_octahedron_antiprism_closed_form():
@@ -324,8 +335,8 @@ def test_octahedron_antiprism_closed_form():
     ]
     q = np.array(top + bot)
     assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-14)
-    assert np.linalg.norm(octahedron_residual(sph, q)) < 1e-13
     sys = OctahedronSystem(sph)
+    assert np.linalg.norm(sys.residual(q.reshape(18))) < 1e-13
     L = sys.edge_lengths(q.reshape(18))
     assert np.allclose(L, L[0], atol=1e-13)
 

@@ -7,6 +7,7 @@ from pegfinder import (
     NonIsolatedSolutionsError,
     TraceSettings,
     corpus,
+    edge_ratio_branches,
     find_equilateral_triangle,
     find_octahedra,
     find_planar_rhombus,
@@ -38,7 +39,17 @@ from pegfinder.searches import (
     square_orbits,
 )
 from pegfinder.solvers import gauss_newton_batch, refine
-from pegfinder.tracing import PerturbedSystem, branch_events, chain_distance, trace_branch
+from pegfinder.tracing import (
+    Branch,
+    Event,
+    PerturbedSystem,
+    branch_events,
+    chain_distance,
+    image_branch,
+    near_chain,
+    trace_branch,
+    winding_number,
+)
 
 ELLIPSE_SQUARE_PARAMS = np.sort(
     np.array(
@@ -266,18 +277,39 @@ def _eager_events(br, events, settings):
 
 
 def _enumerate_branches_scalar(system, seeds, settings, max_branches):
-    """Reference: one chain_distance call per zero and traced branch."""
+    """Reference: one chain_distance call per zero and known branch.  After
+    each trace, the shifts of the branch by multiples of n / symmetry order
+    are added one by one unless their first sample is on a known branch."""
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
+    tol = 2.0 * settings.step_max
     branches = []
     for z in zeros:
-        if any(chain_distance(system, br.points, z) < 2.0 * settings.step_max for br in branches):
+        if any(chain_distance(system, br.points, z) < tol for br in branches):
             continue
         try:
             br = trace_branch(system, z, settings)
         except ConvergenceError:
             continue
         branches.append(br)
+        step = system.n // br.system.symmetry_order
+        for k in range(step, system.n, step):
+            if len(branches) >= max_branches:
+                break
+            pts = system.shift(br.points, k)
+            if any(chain_distance(system, b.points, pts[0]) < tol for b in branches):
+                continue
+            image = Branch(
+                br.system,
+                pts,
+                br.closed,
+                br.termination,
+                events=[Event(e.kind, pts[e.index], e.index, e.value) for e in br.events],
+                isotropy_order=br.isotropy_order,
+            )
+            if br.winding is not None:
+                image.winding = winding_number(image) * tracing._orientation(br.system, pts)
+            branches.append(image)
         if len(branches) >= max_branches:
             break
     return branches
@@ -289,8 +321,9 @@ def _enumerate_branches_scalar(system, seeds, settings, max_branches):
         (corpus("ellipse", a=2, b=1), 4),
         (corpus("ellipse", a=2, b=1), 5),
         (corpus("fourier-random", degree=4, amp=0.3, seed=1), 5),
+        (corpus("fourier-random", degree=10, amp=0.6, seed=1), 3),  # 2 free Z_3 orbits
     ],
-    ids=["ellipse-4", "ellipse-5", "d4-seed1-5"],
+    ids=["ellipse-4", "ellipse-5", "d4-seed1-5", "d10-seed1-3"],
 )
 def test_enumerate_branches_traces_what_the_scalar_loop_traced(curve, n):
     settings = TraceSettings()
@@ -306,6 +339,65 @@ def test_enumerate_branches_traces_what_the_scalar_loop_traced(curve, n):
         g_events, w_events = _eager_events(g, events, settings), _eager_events(w, events, settings)
         assert [e.kind for e in g_events] == [e.kind for e in w_events]
         assert all(np.array_equal(a.z, b.z) for a, b in zip(g_events, w_events))
+
+
+def _full_grid_branches(system, seeds, settings):
+    """Reference: every labeling seeded and traced, no images; each trace
+    marks the later zeros it covers."""
+    zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
+    zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
+    tol = 2.0 * settings.step_max
+    covered = np.zeros(len(zeros), dtype=bool)
+    branches = []
+    for i, z in enumerate(zeros):
+        if not covered[i]:
+            branches.append(trace_branch(system, z, settings))
+            covered |= near_chain(system, branches[-1].points, zeros, tol)
+    return branches
+
+
+_D10_SEED1 = corpus("fourier-random", degree=10, amp=0.6, seed=1)
+
+
+@pytest.mark.parametrize("n, traces", [(3, 3), (4, 3), (5, 2)])
+def test_edge_ratio_orbits_match_the_full_grid_search(monkeypatch, n, traces):
+    # one full-isotropy branch plus free Z_n orbits of isotropy-1 branches:
+    # 7, 9 and 6 branches, each traced on the full grid
+    settings = TraceSettings()
+    sys = EdgeRatioSystem(_D10_SEED1, n)
+    want = _full_grid_branches(sys, polygon_seed_grid(n, 12, max(8, 2 * n + 4)), settings)
+    counts = _count_work(monkeypatch)
+    got = edge_ratio_branches(_D10_SEED1, n, settings=settings)
+    assert counts["traces"] <= traces < len(want) == len(got)
+    tol = 2.0 * settings.step_max
+    matched = []
+    for g in got:
+        (k,) = [k for k, w in enumerate(want) if chain_distance(sys, w.points, g.points[0]) < tol]
+        w = want[k]
+        assert chain_distance(sys, g.points, w.points[0]) < tol
+        assert (g.closed, g.winding, g.isotropy_order) == (w.closed, w.winding, w.isotropy_order)
+        matched.append(k)
+    assert sorted(matched) == list(range(len(want)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_image_windings_match_direct_traces(n):
+    # every relabeling of each traced branch, the full-isotropy branch
+    # (winding +-1) included, against a trace through its first sample
+    settings = TraceSettings()
+    sys = EdgeRatioSystem(_D10_SEED1, n)
+    seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4), sys.symmetry_order)
+    zeros = gauss_newton_batch(sys, seeds, tol=settings.corrector_tol * 0.5)
+    windings = set()
+    for br, *_ in searches._iter_orbits(sys, zeros, settings, 24):
+        assert br.closed
+        for pts in sys.images(br.points)[1:]:
+            image = image_branch(br, pts)
+            direct = trace_branch(sys, pts[0], settings)
+            assert image.winding == direct.winding
+            assert (image.closed, image.isotropy_order) == (direct.closed, direct.isotropy_order)
+            windings.add(image.winding)
+    assert windings == {0, 1 if n % 2 else -1}
 
 
 # --- lazy, best-first finders ------------------------------------------------
@@ -467,8 +559,15 @@ def test_finders_bisect_on_the_system_the_branch_was_traced_on(monkeypatch, tref
     def perturbed_trace(system, z, settings):
         return trace_branch(PerturbedSystem(system, delta=1e-3), z, settings)
 
-    monkeypatch.setattr(searches, "trace_branch", perturbed_trace)
     settings = TraceSettings()
+    sys = Rhombus3dSystem(trefoil)
+    zeros = gauss_newton_batch(sys, polygon_seed_grid(4, 10, 8), tol=settings.corrector_tol * 0.5)
+    first = next(searches._iter_orbits(sys, zeros, settings, 12))
+    assert [b.isotropy_order for b in first] == [2, 2]  # the branch and its one image
+    monkeypatch.setattr(searches, "trace_branch", perturbed_trace)
+    # the perturbation is not equivariant, so a perturbed branch has no images
+    first = next(searches._iter_orbits(sys, zeros, settings, 12))
+    assert len(first) == 1 and isinstance(first[0].system, PerturbedSystem)
     _assert_same_answer(find_square(ellipse, settings), _find_square_eager(ellipse, settings))
     _assert_same_answer(
         find_planar_rhombus(trefoil, settings), _find_planar_rhombus_eager(trefoil, settings)
@@ -503,6 +602,9 @@ def test_finders_trace_and_bisect_only_what_the_answer_needs(monkeypatch, trefoi
 
 
 def test_planar_rhombus_failure_reports_every_traced_branch(monkeypatch, trefoil):
+    branches = enumerate_branches(
+        Rhombus3dSystem(trefoil), polygon_seed_grid(4, 10, 8), TraceSettings(), max_branches=12
+    )
     counts = _count_work(monkeypatch)
 
     def no_polish(*args, **kwargs):
@@ -511,7 +613,8 @@ def test_planar_rhombus_failure_reports_every_traced_branch(monkeypatch, trefoil
     monkeypatch.setattr(searches, "refine", no_polish)
     with pytest.raises(SearchFailure) as failure:
         find_planar_rhombus(trefoil)
-    assert failure.value.diagnostic["branches"] == counts["traces"] > 2
+    # every branch is examined, and the images among them are not traced
+    assert failure.value.diagnostic["branches"] == len(branches) > counts["traces"] > 2
 
 
 @dataclass
