@@ -23,6 +23,8 @@ from .errors import DomainError
 SECANT_STEP = 1e-6
 SPEED_GRID = 512  # parameters at which a Fourier curve's speed must not vanish
 SPEED_FLOOR = 1e-9  # ... relative to its largest speed there
+_TWO_PI = 2.0 * np.pi
+_PROBE_BLOCK = 2**14  # (probe x vertex) pairs per block of _encloses_area
 
 
 class ClosedCurve:
@@ -63,6 +65,7 @@ class FourierCurve(ClosedCurve):
         self.ambient_dim = const.shape[0]
         self.degree = cos_coeffs.shape[1]
         self._k = np.arange(1, self.degree + 1, dtype=float)
+        self._w = _TWO_PI * self._k  # angular frequencies
         for a in (self.const, self.cos_coeffs, self.sin_coeffs):
             a.setflags(write=False)
         speed = np.linalg.norm(self.deriv(np.arange(SPEED_GRID) / SPEED_GRID), axis=-1)
@@ -72,8 +75,7 @@ class FourierCurve(ClosedCurve):
             raise DomainError("the curve's velocity vanishes on the diagnostic grid")
 
     def _angles(self, t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * np.pi * t[..., None] * self._k  # (..., K)
+        return _TWO_PI * np.asarray(t, dtype=float)[..., None] * self._k  # (..., K)
 
     def eval(self, t):
         ang = self._angles(t)
@@ -85,15 +87,13 @@ class FourierCurve(ClosedCurve):
 
     def deriv(self, t):
         ang = self._angles(t)
-        w = 2.0 * np.pi * self._k
-        return (np.cos(ang) * w) @ self.sin_coeffs.T - (np.sin(ang) * w) @ self.cos_coeffs.T
+        return (np.cos(ang) * self._w) @ self.sin_coeffs.T - (np.sin(ang) * self._w) @ self.cos_coeffs.T
 
     def eval_and_deriv(self, t):
         ang = self._angles(t)
         c, s = np.cos(ang), np.sin(ang)
-        w = 2.0 * np.pi * self._k
         pos = self.const + c @ self.cos_coeffs.T + s @ self.sin_coeffs.T
-        vel = (c * w) @ self.sin_coeffs.T - (s * w) @ self.cos_coeffs.T
+        vel = (c * self._w) @ self.sin_coeffs.T - (s * self._w) @ self.cos_coeffs.T
         return pos, vel
 
     def spec(self):
@@ -157,19 +157,25 @@ def _encloses_area(v):
     """False for a planar chain that retraces itself (winding number zero
     everywhere).  A shoelace area above 1e-12 box diagonal^2 settles it;
     otherwise (a doubled chain, or lobes that cancel as in a figure eight)
-    the winding number just beside each segment midpoint decides, probing
-    both sides of a segment before the next and stopping at the first
-    enclosed probe (a chain that encloses nothing checks all 2n)."""
+    the winding number just beside each segment midpoint decides.  Probes
+    on both sides of each segment, in segment order, are tested a block of
+    at most _PROBE_BLOCK (probe x vertex) pairs at a time, stopping at the
+    first block that holds an enclosed probe (a chain that encloses nothing
+    checks all 2n)."""
     nxt = np.roll(v, -1, axis=0)
     seg = nxt - v
     if abs(np.sum(v[:, 0] * seg[:, 1] - seg[:, 0] * v[:, 1])) > 2e-12 * np.sum(np.ptp(v, axis=0) ** 2):
         return True
     side = 1e-6 * np.stack([-seg[:, 1], seg[:, 0]], axis=-1)
     mid = v + 0.5 * seg
-    for probe in np.stack([mid + side, mid - side], axis=1).reshape(-1, 2):
-        a, b = v - probe, nxt - probe
-        turn = np.sum(np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.sum(a * b, axis=-1)))
-        if abs(turn) > np.pi:
+    probes = np.stack([mid + side, mid - side], axis=1).reshape(-1, 2)
+    step = max(1, _PROBE_BLOCK // len(v))
+    for start in range(0, len(probes), step):
+        px, py = probes[start : start + step, :, None].transpose(1, 0, 2)  # (P, 1) each
+        a0, a1, b0, b1 = v[:, 0] - px, v[:, 1] - py, nxt[:, 0] - px, nxt[:, 1] - py
+        # a x b and a . b, the 2-wide dot written out as numpy sums it
+        turn = np.sum(np.arctan2(a0 * b1 - a1 * b0, a0 * b0 + a1 * b1), axis=-1)
+        if np.any(np.abs(turn) > np.pi):
             return True
     return False
 

@@ -24,6 +24,45 @@ from .errors import DomainError
 
 GRID = 200  # diagnostic grid resolution for symmetry/definiteness checks
 _TINY = 1e-300
+_PAIR_INDEX = {}  # tuple of vertex pairs -> (rows, i, j) index arrays
+
+
+def _coord_sum(x):
+    """np.sum(x, axis=-1) over the 2 or 3 coordinates of points x, written
+    out in the order numpy's reduction adds them, (x0 + x1) + x2, without
+    the reduction's call overhead: the same bits."""
+    s = x[..., 0] + x[..., 1]
+    if x.shape[-1] == 3:
+        s += x[..., 2]
+    return s
+
+
+def _coord_norm(x):
+    """np.linalg.norm(x, axis=-1) over 2 or 3 coordinates: the same bits."""
+    return np.sqrt(_coord_sum(x * x))
+
+
+def _pair_index(pairs):
+    """(rows, i, j): index arrays of a list of vertex pairs, built once per list."""
+    key = tuple(pairs)
+    index = _PAIR_INDEX.get(key)
+    if index is None:
+        index = tuple(np.array(a, dtype=np.intp) for a in (range(len(key)), *zip(*key)))
+        for a in index:
+            a.setflags(write=False)
+        _PAIR_INDEX[key] = index
+    return index
+
+
+def _pair_grad(gi, gj, n, rows, i, j):
+    """G (..., m, n) with G[..., e, i_e] = gi[..., e] and G[..., e, j_e] =
+    gj[..., e], zero elsewhere (each pair joins two distinct vertices).  The
+    j entries are written as 0.0 + gj, as adding into the zeros would: a
+    -0.0 gradient is stored as 0.0."""
+    G = np.zeros(gi.shape + (n,))
+    G[..., rows, i] = gi
+    G[..., rows, j] = 0.0 + gj
+    return G
 
 
 class DistanceField:
@@ -39,18 +78,14 @@ class DistanceField:
 
     def pair_dists(self, V, pairs):
         """Distances between vertex pairs of tuples V (..., n): (..., len(pairs))."""
-        i, j = zip(*pairs)
+        _, i, j = _pair_index(pairs)
         return self.d(V[..., i], V[..., j])
 
     def pair_dists_and_grad(self, V, pairs):
         """(pair_dists, G) with G (..., len(pairs), n), G[..., e, v] = d pair_e / d vertex v."""
-        i, j = zip(*pairs)
+        rows, i, j = _pair_index(pairs)
         dx, dy = self.partials(V[..., i], V[..., j])
-        G = np.zeros(dx.shape + (V.shape[-1],))
-        rows = np.arange(len(pairs))
-        G[..., rows, i] = dx
-        G[..., rows, j] += dy
-        return self.pair_dists(V, pairs), G
+        return self.pair_dists(V, pairs), _pair_grad(dx, dy, V.shape[-1], rows, i, j)
 
     def check_definite(self, grid: int = GRID):
         """Reject fields that vanish or go negative off the diagonal."""
@@ -86,26 +121,21 @@ class ChordalField(DistanceField):
     def pair_dists(self, V, pairs):
         """Chord lengths, evaluating each vertex once."""
         P = self.curve.eval(V)
-        i, j = zip(*pairs)
-        diff = P[..., i, :] - P[..., j, :]
-        return np.linalg.norm(diff, axis=-1)
+        _, i, j = _pair_index(pairs)
+        return _coord_norm(P[..., i, :] - P[..., j, :])
 
     def pair_dists_and_grad(self, V, pairs):
         """Chord lengths and their gradients from one evaluation of each
-        vertex (position and velocity together); finite on the diagonal."""
+        vertex (position and velocity together); finite on the diagonal.
+        One point (V of shape (n,)) and a batch run the same arithmetic."""
         P, D = self.curve.eval_and_deriv(V)
-        n = V.shape[-1]
-        i, j = zip(*pairs)
+        rows, i, j = _pair_index(pairs)
         diff = P[..., i, :] - P[..., j, :]
-        L = np.linalg.norm(diff, axis=-1)
+        L = _coord_norm(diff)
         safe = np.maximum(L, _TINY)
-        gi = np.sum(diff * D[..., i, :], axis=-1) / safe
-        gj = -np.sum(diff * D[..., j, :], axis=-1) / safe
-        G = np.zeros(L.shape + (n,))
-        rows = np.arange(len(pairs))
-        G[..., rows, i] = gi
-        G[..., rows, j] += gj
-        return L, G
+        gi = _coord_sum(diff * D[..., i, :]) / safe
+        gj = -_coord_sum(diff * D[..., j, :]) / safe
+        return L, _pair_grad(gi, gj, V.shape[-1], rows, i, j)
 
     def spec(self):
         return {"kind": "chordal", "curve": self.curve.spec()}

@@ -37,7 +37,7 @@ from scipy.linalg import helmert
 from .circle import circle_dist, signed_gap, wrap
 from .curves import EmbeddedSphere
 from .errors import DegenerateConfigurationError, DomainError
-from .fields import as_field
+from .fields import _coord_norm, _coord_sum, as_field
 from .polygons import PolygonParam
 
 _TINY = 1e-300
@@ -196,13 +196,21 @@ class PolygonSystem(ResidualSystem):
         return np.min(np.maximum(base, gaps), axis=-1)
 
     def boundary_margins(self, z):
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 1:  # one point: the smallest of its gaps, not assembled
+            gaps = z[1:]
+            return np.minimum(gaps.min(), 1.0 - gaps.sum())
         return np.min(self.gaps_of(z), axis=-1)
 
     def vertex_params(self, z):
-        """Vertex parameters (..., n) from chart (..., n)."""
+        """Vertex parameters (..., n) from chart (..., n): z_0 + the
+        cumulative sums of the gaps, z_0 itself first."""
         z = np.asarray(z, dtype=float)
-        x = z[..., :1]
-        return np.concatenate([x, x + np.cumsum(z[..., 1:], axis=-1)], axis=-1)
+        V = np.empty(z.shape)
+        V[..., 0] = z[..., 0]
+        z[..., 1:].cumsum(axis=-1, out=V[..., 1:])
+        V[..., 1:] += z[..., :1]
+        return V
 
     def dists(self, z, pairs):
         """Field distances between the vertex pairs at chart points z."""
@@ -498,6 +506,10 @@ OCT_EDGES = [
     for i, j in itertools.combinations(range(6), 2)
     if j != i + 3  # opposite vertices (0,3), (1,4), (2,5) are not edges
 ]
+_OCT_ROWS = np.arange(len(OCT_EDGES))
+_OCT_I, _OCT_J = (np.array(a) for a in zip(*OCT_EDGES))
+_OCT_PAIRS = np.triu_indices(6, k=1)  # every vertex pair, for the separation
+_SIX = np.arange(6)
 _HELMERT11 = helmert(12)
 _HELMERT11.setflags(write=False)
 
@@ -538,42 +550,35 @@ class OctahedronSystem(ResidualSystem):
         return np.asarray(z, dtype=float).reshape(np.shape(z)[:-1] + (6, 3))
 
     def edge_lengths(self, z):
-        q = self.points(z)
-        p = q * self.sphere.scale
-        i, j = zip(*OCT_EDGES)
-        return np.linalg.norm(p[..., i, :] - p[..., j, :], axis=-1)
+        p = self.points(z) * self.sphere.scale
+        return _coord_norm(p[..., _OCT_I, :] - p[..., _OCT_J, :])
 
     def residual(self, z):
-        L = self.edge_lengths(z)
-        unit = 0.5 * (np.sum(self.points(z) ** 2, axis=-1) - 1.0)
-        return np.concatenate([L @ _HELMERT11.T, unit], axis=-1)
+        q = self.points(z)
+        return np.concatenate([self.edge_lengths(z) @ _HELMERT11.T, 0.5 * (_coord_sum(q * q) - 1.0)], axis=-1)
 
     def linearize(self, z):
         z = np.asarray(z, dtype=float)
         q = self.points(z)
         p = q * self.sphere.scale
-        i, j = zip(*OCT_EDGES)
-        diff = p[..., i, :] - p[..., j, :]
-        L = np.linalg.norm(diff, axis=-1)
-        F = np.concatenate([L @ _HELMERT11.T, 0.5 * (np.sum(q**2, axis=-1) - 1.0)], axis=-1)
+        diff = p[..., _OCT_I, :] - p[..., _OCT_J, :]
+        L = _coord_norm(diff)
+        F = np.concatenate([L @ _HELMERT11.T, 0.5 * (_coord_sum(q * q) - 1.0)], axis=-1)
         u = diff / np.maximum(L, _TINY)[..., None] * self.sphere.scale  # d L / d q_i per coordinate
         Gl = np.zeros(z.shape[:-1] + (12, 6, 3))
-        rows = np.arange(12)
-        Gl[..., rows, i, :] = u
-        Gl[..., rows, j, :] -= u
+        Gl[..., _OCT_ROWS, _OCT_I, :] = u
+        Gl[..., _OCT_ROWS, _OCT_J, :] = 0.0 - u  # as subtracting from the zeros would
         Gl = Gl.reshape(z.shape[:-1] + (12, 18))
         Gu = np.zeros(z.shape[:-1] + (6, 6, 3))
-        rows6 = np.arange(6)
-        Gu[..., rows6, rows6, :] = q
+        Gu[..., _SIX, _SIX, :] = q
         Gu = Gu.reshape(z.shape[:-1] + (6, 18))
         return F, np.concatenate([_HELMERT11 @ Gl, Gu], axis=-2)
 
     def min_separation(self, z):
         q = self.points(z)
-        norms = np.maximum(np.linalg.norm(q, axis=-1), _TINY)
-        qn = q / norms[..., None]
-        i, j = np.triu_indices(6, k=1)
-        dots = np.clip(np.sum(qn[..., i, :] * qn[..., j, :], axis=-1), -1.0, 1.0)
+        qn = q / np.maximum(_coord_norm(q), _TINY)[..., None]
+        i, j = _OCT_PAIRS
+        dots = np.clip(_coord_sum(qn[..., i, :] * qn[..., j, :]), -1.0, 1.0)
         return np.min(np.arccos(dots), axis=-1)
 
     def boundary_margins(self, z):

@@ -32,7 +32,6 @@ from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
 from .tracing import (
     TraceSettings,
     branch_events,
-    chain_distance,
     image_branch,
     near_chain,
     trace_branch,
@@ -157,7 +156,7 @@ def _iter_orbits(system, zeros, settings, max_branches):
             if len(found) + len(orbit) >= max_branches:
                 break
             known = found + orbit
-            if all(chain_distance(c.system, c.points, points[0]) >= membership_tol for c in known):
+            if not any(near_chain(c.system, c.points, points[:1], membership_tol)[0] for c in known):
                 orbit.append(image_branch(br, points))
         yield orbit
         found += orbit

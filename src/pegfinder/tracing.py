@@ -16,6 +16,7 @@ not an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -53,6 +54,10 @@ class TraceSettings:
             raise ValueError("seed must be a non-negative integer")
         if self.corrector_tol >= self.closure_tol:
             raise ValueError("corrector_tol must be below closure_tol")
+        if self.step_init > self.step_max:
+            # the first step would never shrink to step_max and could jump
+            # between sheets of the zero set
+            raise ValueError("step_init must not exceed step_max")
 
 
 def _is_int(value):
@@ -82,7 +87,18 @@ class Branch:
 
 
 def chart_distance(system, a, b):
-    return float(np.linalg.norm(system.chart_diff(a, b), axis=-1))
+    return _chart_length(system.chart_diff(a, b))
+
+
+def _chart_length(d):
+    """np.linalg.norm(d, axis=-1) of one chart difference d, by the same
+    reduction, as a float."""
+    return math.sqrt((d * d).sum())
+
+
+def _norm(v):
+    """np.linalg.norm(v) of a vector, by numpy's own formula sqrt(v . v)."""
+    return math.sqrt(v.dot(v))
 
 
 def _segment_dists(rel):
@@ -130,7 +146,7 @@ def near_chain(system, chain, Q, tol):
 def _tangent(J, prev=None):
     """Unit null vector of the Jacobian J; returns (tangent, deficient flag)."""
     U, S, Vt = np.linalg.svd(J)
-    rank = int(np.sum(S > _RANK_TOL * S[0])) if S[0] > 0 else 0
+    rank = np.count_nonzero(S > _RANK_TOL * S[0]) if S[0] > 0 else 0
     null = Vt[rank:]
     deficient = null.shape[0] > 1
     if null.shape[0] == 0:
@@ -139,7 +155,7 @@ def _tangent(J, prev=None):
         tau = null[0]
     elif prev is not None:
         coeff = null @ prev
-        if np.linalg.norm(coeff) < 1e-12:
+        if _norm(coeff) < 1e-12:
             tau = null[0]
         else:
             tau = coeff @ null
@@ -149,7 +165,7 @@ def _tangent(J, prev=None):
         shape_part = null[:, 1:]
         w, vecs = np.linalg.eigh(shape_part @ shape_part.T)
         tau = vecs[:, -1] @ null
-    tau = tau / np.linalg.norm(tau)
+    tau = tau / _norm(tau)
     if prev is not None:
         if float(tau @ prev) < 0:
             tau = -tau
@@ -162,26 +178,31 @@ def _tangent(J, prev=None):
 
 def _correct(system, pred, tau, tol, max_iter=25):
     """Newton in the hyperplane through pred orthogonal to tau; returns the
-    corrected point and the Jacobian there."""
+    corrected point and the Jacobian there.  Each step solves the system
+    [J; tau] step = -[F; g] in one augmented matrix, reused."""
     w = np.array(pred, dtype=float)
+    A = np.empty((system.codomain_dim + 1, w.shape[0]))
+    b = np.empty(system.codomain_dim + 1)
+    A[-1] = tau
     for _ in range(max_iter):
         F, J = system.linearize(w)
-        if not np.all(np.isfinite(F)):
+        if not np.isfinite(F).all():
             raise ConvergenceError("residual not finite during correction")
         g = float(tau @ (w - pred))
-        if np.linalg.norm(F) <= tol and abs(g) <= tol:
+        if _norm(F) <= tol and abs(g) <= tol:
             return w, J
-        A = np.vstack([J, tau[None, :]])
-        b = -np.concatenate([F, [g]])
+        A[:-1] = J
+        np.negative(F, out=b[:-1])
+        b[-1] = -g
         try:
             step = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(A, b, rcond=None)[0]
         w = w + step
-        if np.linalg.norm(step) < 1e-15:
+        if _norm(step) < 1e-15:
             break
     F, J = system.linearize(w)
-    if np.linalg.norm(F) <= tol:
+    if _norm(F) <= tol:
         return w, J
     raise ConvergenceError("corrector did not converge")
 
@@ -207,7 +228,7 @@ def _trace_direction(system, z0, tau0, settings):
                 clean = 0
                 if h < _MIN_STEP:
                     return samples, "stalled"
-        if system.boundary_margins(w[None])[0] < settings.boundary_floor:
+        if system.boundary_margins(w) < settings.boundary_floor:
             hit = _boundary_hit(system, z, w, settings)
             if hit is not None:
                 samples.append(hit)
@@ -217,8 +238,9 @@ def _trace_direction(system, z0, tau0, settings):
         # verified by projecting the crossing onto the plane and demanding it
         # actually coincides with the start (nearby foreign sheets must not
         # close the loop spuriously)
-        side = float(start_tau @ system.chart_diff(w, z0))
-        dist0 = chart_distance(system, w, z0)
+        d0 = system.chart_diff(w, z0)
+        side = float(start_tau @ d0)
+        dist0 = _chart_length(d0)
         if len(samples) > 4 and dist0 < max(2.0 * h, settings.closure_tol):
             crossed = prev_side < 0.0 <= side
             if dist0 < settings.closure_tol:
@@ -283,10 +305,10 @@ def _boundary_hit(system, inside, outside, settings):
     floor = settings.boundary_floor
 
     def inside_floor(z):
-        return not system.boundary_margins(z[None])[0] < floor
+        return not system.boundary_margins(z) < floor
 
     a, _, _ = _bisect(system, inside, outside, inside_floor, 0.25 * floor, 40, settings)
-    return a if system.boundary_margins(a[None])[0] >= 0.0 else None
+    return a if system.boundary_margins(a) >= 0.0 else None
 
 
 def trace_branch(system, z0, settings=None):

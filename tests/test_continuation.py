@@ -42,6 +42,13 @@ def test_trace_settings_validation():
         TraceSettings(corrector_tol=-1.0)
     with pytest.raises(ValueError):
         TraceSettings(corrector_tol=1e-3, closure_tol=1e-6)
+    # a first step above step_max made edge_ratio_branches on the ellipse
+    # (n = 4) report two isotropy-1 loops with winding sum -2
+    with pytest.raises(ValueError, match="step_init"):
+        TraceSettings(step_init=0.5)
+    with pytest.raises(ValueError, match="step_init"):
+        TraceSettings(step_init=2e-3, step_max=1e-3)
+    TraceSettings(step_init=1e-3, step_max=1e-3)
     for bad in (
         {"corrector_tol": float("nan")},
         {"closure_tol": float("nan")},

@@ -20,6 +20,7 @@ from pegfinder import (
     signed_area,
 )
 from pegfinder.corpus import corpus_list
+from pegfinder.curves import _encloses_area
 
 
 def test_circle_parametrization(circle):
@@ -91,6 +92,47 @@ def test_polyline_validation():
         PolylineCurve([[0, 0], [1, 0], [1, 1], [1, 0]])  # a doubled chain
     with pytest.raises(DomainError, match="no area"):
         PolylineCurve([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 0]])  # the same, in R^3
+
+
+def _encloses_area_one_probe_at_a_time(v):
+    """Reference: the enclosure test probing one point after another."""
+    nxt = np.roll(v, -1, axis=0)
+    seg = nxt - v
+    if abs(np.sum(v[:, 0] * seg[:, 1] - seg[:, 0] * v[:, 1])) > 2e-12 * np.sum(np.ptp(v, axis=0) ** 2):
+        return True
+    side = 1e-6 * np.stack([-seg[:, 1], seg[:, 0]], axis=-1)
+    mid = v + 0.5 * seg
+    for probe in np.stack([mid + side, mid - side], axis=1).reshape(-1, 2):
+        a, b = v - probe, nxt - probe
+        turn = np.sum(np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.sum(a * b, axis=-1)))
+        if abs(turn) > np.pi:
+            return True
+    return False
+
+
+def test_encloses_area_blocks_decide_as_single_probes():
+    t = np.linspace(0.0, 1.5 * np.pi, 700)
+    arc = np.column_stack([np.cos(t), 0.7 * np.sin(t)])
+    tau = 2 * np.pi * np.arange(64) / 64
+    eight = np.column_stack([np.sin(2 * tau), np.sin(tau)])  # equal lobes: shoelace area 0
+    spur = np.column_stack([np.linspace(0.0, -3.0, 400), np.zeros(400)])
+    loop = np.column_stack([np.cos(tau[:-1]), np.sin(tau[:-1])])
+    chains = {
+        "retraced arc": (np.concatenate([arc, arc[-2:0:-1]]), False),
+        "retraced segment": (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]]), False),
+        "loop then its reverse": (np.concatenate([loop, loop[-2:0:-1]]), False),
+        "doubled loop": (np.concatenate([loop, loop]), True),
+        "figure eight": (eight, True),
+        # lobes found only after a retraced spur: a later block decides
+        "figure eight behind a spur": (np.concatenate([spur[::-1], eight[1:], spur[:-1]]), True),
+        "square": (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), True),
+        "cusp": (corpus("cusp").vertices, True),
+    }
+    for name, (v, encloses) in chains.items():
+        assert _encloses_area_one_probe_at_a_time(v) is encloses, name
+        assert _encloses_area(v) is encloses, name
+    with pytest.raises(DomainError, match="no area"):
+        PolylineCurve(chains["retraced arc"][0])
 
 
 def test_field_from_curve_matches_chord(circle, trefoil, rng):

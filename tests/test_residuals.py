@@ -22,8 +22,9 @@ from pegfinder import (
     from_vertices,
     octahedron_group,
 )
+from pegfinder.curves import FourierCurve
 from pegfinder.polygons import param_dist
-from pegfinder.residuals import QUAD_PAIRS, octahedron_edge_permutation
+from pegfinder.residuals import OCT_EDGES, QUAD_EDGES, QUAD_PAIRS, octahedron_edge_permutation
 
 
 def chord_circle(u):
@@ -401,9 +402,9 @@ def test_jacobians_triangle_and_slice_and_octahedron(rng):
 
 
 def _polygon_charts(n):
-    def sample(rng):
-        g = rng.dirichlet([4] * n, size=40)
-        return np.column_stack([rng.uniform(size=40), g[:, : n - 1]])
+    def sample(rng, rows=40):
+        g = rng.dirichlet([4] * n, size=rows)
+        return np.column_stack([rng.uniform(size=rows), g[:, : n - 1]])
 
     return sample
 
@@ -413,9 +414,9 @@ def _slice_charts(rng):
     return np.column_stack([rng.uniform(size=40), u[:, :2]])
 
 
-def _sphere_charts(rng):
-    q = rng.normal(size=(40, 6, 3))
-    return (q / np.linalg.norm(q, axis=-1, keepdims=True)).reshape(40, 18)
+def _sphere_charts(rng, rows=40):
+    q = rng.normal(size=(rows, 6, 3))
+    return (q / np.linalg.norm(q, axis=-1, keepdims=True)).reshape(rows, 18)
 
 
 @pytest.mark.parametrize(
@@ -438,6 +439,135 @@ def test_linearize_is_residual_and_jacobian_bit_for_bit(factory, charts):
     assert np.array_equal(J, sys.jacobian(Z))
     assert F.shape[-1] == sys.codomain_dim
     assert Z.shape[-1] == sys.chart_dim
+
+
+# --- the linearize kernels against the formulas they replaced ---------------------
+#
+# The kernels write 2- and 3-wide coordinate sums out in numpy's own order
+# and skip wrapper calls; these references are the reductions and
+# np.linalg.norm calls they replaced.  The tracer's samples, which the
+# golden documents pin, depend on every bit.
+
+
+def _ref_eval_and_deriv(curve, t):
+    if not isinstance(curve, FourierCurve):
+        return curve.eval(t), curve.deriv(t)
+    ang = 2.0 * np.pi * np.asarray(t, dtype=float)[..., None] * np.arange(1, curve.degree + 1, dtype=float)
+    c, s = np.cos(ang), np.sin(ang)
+    w = 2.0 * np.pi * np.arange(1, curve.degree + 1, dtype=float)
+    pos = curve.const + c @ curve.cos_coeffs.T + s @ curve.sin_coeffs.T
+    vel = (c * w) @ curve.sin_coeffs.T - (s * w) @ curve.cos_coeffs.T
+    return pos, vel
+
+
+def _ref_vertex_params(z):
+    x = z[..., :1]
+    return np.concatenate([x, x + np.cumsum(z[..., 1:], axis=-1)], axis=-1)
+
+
+def _ref_pair_dists_and_grad(curve, V, pairs):
+    P, D = _ref_eval_and_deriv(curve, V)
+    i, j = zip(*pairs)
+    diff = P[..., i, :] - P[..., j, :]
+    L = np.linalg.norm(diff, axis=-1)
+    safe = np.maximum(L, 1e-300)
+    gi = np.sum(diff * D[..., i, :], axis=-1) / safe
+    gj = -np.sum(diff * D[..., j, :], axis=-1) / safe
+    G = np.zeros(L.shape + (V.shape[-1],))
+    rows = np.arange(len(pairs))
+    G[..., rows, i] = gi
+    G[..., rows, j] += gj
+    return L, G
+
+
+def _ref_polygon_linearize(sys, z):
+    L, G = _ref_pair_dists_and_grad(sys.curve, _ref_vertex_params(z), sys.pairs)
+    return L @ sys.mix.T, sys.mix @ (G @ np.tril(np.ones((sys.n, sys.n))))
+
+
+def _ref_parallelogram_linearize(sys, z):
+    V = _ref_vertex_params(z)
+    P, D = _ref_eval_and_deriv(sys.curve, V)
+    L, Glen = _ref_pair_dists_and_grad(sys.curve, V, QUAD_EDGES)
+    mid = P[..., 0, :] + P[..., 2, :] - P[..., 1, :] - P[..., 3, :]
+    ratio = L[..., 0] + L[..., 2] - sys.r * (L[..., 1] + L[..., 3])
+    Gmid = np.array([1.0, -1.0, 1.0, -1.0]) * np.swapaxes(D, -1, -2)
+    Gratio = Glen[..., 0, :] + Glen[..., 2, :] - sys.r * (Glen[..., 1, :] + Glen[..., 3, :])
+    G = np.concatenate([Gmid, Gratio[..., None, :]], axis=-2)
+    return np.concatenate([mid, ratio[..., None]], axis=-1), G @ np.tril(np.ones((4, 4)))
+
+
+def _ref_octahedron_linearize(sys, z):
+    from scipy.linalg import helmert
+
+    H = helmert(12)
+    q = z.reshape(z.shape[:-1] + (6, 3))
+    i, j = zip(*OCT_EDGES)
+    diff = q[..., i, :] * sys.sphere.scale - q[..., j, :] * sys.sphere.scale
+    L = np.linalg.norm(diff, axis=-1)
+    F = np.concatenate([L @ H.T, 0.5 * (np.sum(q**2, axis=-1) - 1.0)], axis=-1)
+    u = diff / np.maximum(L, 1e-300)[..., None] * sys.sphere.scale
+    Gl = np.zeros(z.shape[:-1] + (12, 6, 3))
+    Gl[..., np.arange(12), i, :] = u
+    Gl[..., np.arange(12), j, :] -= u
+    Gu = np.zeros(z.shape[:-1] + (6, 6, 3))
+    Gu[..., np.arange(6), np.arange(6), :] = q
+    J = np.concatenate([H @ Gl.reshape(z.shape[:-1] + (12, 18)), Gu.reshape(z.shape[:-1] + (6, 18))], axis=-2)
+    return F, J
+
+
+def _ref_min_separation(z):
+    q = z.reshape(z.shape[:-1] + (6, 3))
+    qn = q / np.maximum(np.linalg.norm(q, axis=-1), 1e-300)[..., None]
+    i, j = np.triu_indices(6, k=1)
+    return np.min(np.arccos(np.clip(np.sum(qn[..., i, :] * qn[..., j, :], axis=-1), -1.0, 1.0)), axis=-1)
+
+
+_KERNEL_CURVES = {
+    "ellipse": lambda: corpus("ellipse"),
+    "d10": lambda: corpus("fourier-random", degree=10, amp=0.6, seed=1),
+    "cusp": lambda: corpus("cusp"),
+}
+_KERNEL_SYSTEMS = {
+    "square": (SquareSystem, _ref_polygon_linearize),
+    "ratio5": (lambda c: EdgeRatioSystem(c, 5, [1.0, 1.2, 0.8, 1.1]), _ref_polygon_linearize),
+    "parallelogram": (lambda c: ParallelogramSystem(c, 2.0), _ref_parallelogram_linearize),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_kernel_bits(sys, ref, Z):
+    for z in (Z[0], Z):  # one point, then the 1,000-row batch
+        F, J = sys.linearize(z)
+        F_ref, J_ref = ref(sys, z)
+        assert _same_bits(F, F_ref) and _same_bits(J, J_ref)
+
+
+@pytest.mark.parametrize("curve", sorted(_KERNEL_CURVES))
+@pytest.mark.parametrize("name", sorted(_KERNEL_SYSTEMS))
+def test_linearize_kernels_match_the_reference_formulas_bit_for_bit(name, curve):
+    factory, ref = _KERNEL_SYSTEMS[name]
+    sys = factory(_KERNEL_CURVES[curve]())
+    Z = _polygon_charts(sys.n)(np.random.default_rng(7), rows=1000)
+    _assert_kernel_bits(sys, ref, Z)
+    margins = sys.boundary_margins(Z)
+    assert _same_bits(np.array([sys.boundary_margins(z) for z in Z[:50]]), margins[:50])
+    assert np.array_equal(margins, np.min(sys.gaps_of(Z), axis=-1))
+
+
+def test_3d_kernels_match_the_reference_formulas_bit_for_bit(trefoil):
+    # the 3-wide sums: a reassociated x0 + (x1 + x2) changes these bits
+    rng = np.random.default_rng(8)
+    _assert_kernel_bits(Rhombus3dSystem(trefoil), _ref_polygon_linearize, _polygon_charts(4)(rng, rows=1000))
+    sys = OctahedronSystem(corpus("scaled-sphere", lz=0.5))
+    Z = _sphere_charts(rng, rows=1000)
+    _assert_kernel_bits(sys, _ref_octahedron_linearize, Z)
+    assert _same_bits(sys.min_separation(Z), _ref_min_separation(Z))
+    assert _same_bits(sys.min_separation(Z[0]), _ref_min_separation(Z[0]))
+    assert _same_bits(sys.residual(Z), _ref_octahedron_linearize(sys, Z)[0])
 
 
 def test_polyline_system_uses_secant_jacobian():

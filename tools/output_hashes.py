@@ -1,0 +1,98 @@
+"""Print one hash per benchmark call, to compare two checkouts bit for bit.
+
+    python3 tools/output_hashes.py > hashes.txt
+
+Runs every operation of the `branch-trace` workload at seeds 0, 1 and 2 and
+every `count_squares` operation of `square-count` (see perfbench/), and
+prints a SHA-256 prefix of each output followed by the call's label.  An
+output is hashed exactly: arrays by dtype, shape and bytes, floats by their
+hex form, containers and dataclasses field by field (a branch's system by
+its kind).  The CLI calls are hashed by their exit code and the files they
+write, with ``wall_time_ms`` zeroed.  Run it on two checkouts and diff the
+outputs: a change that claims bit-identical results prints the same lines.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import re
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as perfbench/run.py
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+
+from pegfinder.residuals import ResidualSystem  # noqa: E402
+
+
+def feed(h, obj):
+    """Feed an exact, type-tagged encoding of obj to the hash h."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        h.update(f"{type(obj).__name__}:{obj!r};".encode())
+    elif isinstance(obj, float):
+        h.update(f"float:{obj.hex()};".encode())
+    elif isinstance(obj, np.ndarray):
+        h.update(f"array:{obj.dtype.str}:{obj.shape};".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, np.generic):
+        feed(h, obj.item())
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"{type(obj).__name__}:{len(obj)};".encode())
+        for item in obj:
+            feed(h, item)
+    elif isinstance(obj, dict):
+        h.update(f"dict:{len(obj)};".encode())
+        for key in sorted(obj, key=str):
+            feed(h, key)
+            feed(h, obj[key])
+    elif isinstance(obj, ResidualSystem):
+        h.update(f"system:{obj.kind};".encode())
+    elif dataclasses.is_dataclass(obj):
+        h.update(f"{type(obj).__name__};".encode())
+        for f in dataclasses.fields(obj):
+            feed(h, f.name)
+            feed(h, getattr(obj, f.name))
+    else:
+        raise TypeError(f"no exact encoding for {type(obj).__name__}")
+
+
+def output_hash(op, workdir):
+    h = hashlib.sha256()
+    try:
+        feed(h, op.run())
+    except Exception as err:  # a raised error is an output too
+        feed(h, f"{type(err).__name__}: {err}")
+    for name in sorted(os.listdir(workdir)):  # files the CLI calls wrote
+        path = os.path.join(workdir, name)
+        with open(path, "rb") as fh:
+            text = re.sub(rb'"wall_time_ms":[0-9.e+-]+', b'"wall_time_ms":0', fh.read())
+        feed(h, name)
+        h.update(text)
+        os.remove(path)
+    return h.hexdigest()[:16]
+
+
+def main():
+    workdir = tempfile.mkdtemp(prefix="output-hashes-")
+    try:
+        for seed in SEEDS:
+            for op in workloads.build("branch-trace", seed, str(ROOT), workdir):
+                print(f"{output_hash(op, workdir)}  branch-trace seed={seed} {op.label}", flush=True)
+        for op in workloads.build("square-count", 0, str(ROOT), workdir):
+            print(f"{output_hash(op, workdir)}  square-count {op.label}", flush=True)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()
