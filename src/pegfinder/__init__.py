@@ -6,7 +6,7 @@ scaled spheres, found by Gauss-Newton multistart and pseudo-arclength
 continuation of the corresponding residual systems.
 """
 
-from .circle import arc, circle_dist, wrap
+from .circle import circle_dist, wrap
 from .corpus import corpus, corpus_list
 from .counting import (
     CountReport,
@@ -36,18 +36,7 @@ from .errors import (
     UnknownCorpusError,
 )
 from .fields import ChordalField, DistanceField, SyntheticField, field_from_curve, field_from_spec
-from .polygons import (
-    PolygonParam,
-    StarParam,
-    boundary_distance,
-    canonical,
-    cyclic_shift,
-    from_star,
-    from_vertices,
-    orbit_dist,
-    to_star,
-    vertices,
-)
+from .polygons import PolygonParam, from_vertices, vertices
 from .residuals import (
     EdgeRatioSystem,
     OctahedronSystem,

@@ -13,11 +13,6 @@ def wrap(x):
     return x - np.floor(x)
 
 
-def arc(x, y):
-    """Length in [0, 1) of the counter-clockwise arc from x to y."""
-    return wrap(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
-
-
 def signed_gap(x, y):
     """Shortest signed displacement from x to y, in (-1/2, 1/2]."""
     d = wrap(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))

@@ -257,7 +257,7 @@ def _run(args, subject, field2, settings, doc) -> str | None:
         if field2 is not None:
             verts, info = find_two_metric_triangle(subject, field2, settings)
         else:
-            verts, info = find_equilateral_triangle(subject, settings)
+            verts, info = find_equilateral_triangle(subject)
         doc.result = {"vertex_params": list(verts), **info}
         drawing = subject if isinstance(subject, ClosedCurve) else getattr(subject, "curve", None)
         if drawing is None:

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from .curves import EmbeddedSphere, FourierCurve, PolylineCurve
-from .errors import UnknownCorpusError
+from .errors import DomainError, UnknownCorpusError
 from .fields import ChordalField, SyntheticField
 
 _REGISTRY = {}
@@ -69,6 +69,11 @@ def _ellipse(a=2.0, b=1.0):
 
 @_entry("fourier-random", "radially perturbed circle (degree, amp, seed); always simple")
 def _fourier_random(degree=4, amp=0.3, seed=0):
+    # 1 + rho stays positive for |amp| < 1, so the radial graph is simple
+    if not (float(degree).is_integer() and degree >= 1):
+        raise DomainError(f"fourier-random needs an integral degree >= 1, not {degree!r}")
+    if not abs(amp) < 1.0:
+        raise DomainError(f"fourier-random needs a finite amplitude with |amp| < 1, not {amp!r}")
     degree = int(degree)
     rng = np.random.default_rng(int(seed))
     coeffs = rng.normal(size=(2, degree)) / np.arange(1, degree + 1)

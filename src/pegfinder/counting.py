@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import ClosedCurve, signed_area
 from .errors import NonIsolatedSolutionsError
-from .polygons import PolygonParam, cyclic_shift, param_dict, param_dist, vertices
+from .polygons import PolygonParam, param_dict, vertices
 from .residuals import RectangleSystem, SpecialQuadSliceSystem, SquareSystem
 from .searches import (
     FAMILY_RANK_TOL,
@@ -73,7 +73,8 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
     settings = settings or TraceSettings()
     sq = SquareSystem(curve)
     seeds = polygon_seed_grid(4, nx, m, sq.symmetry_order)
-    reps, conditions, close_pairs = square_orbits(sq, seeds, prune_after=1, prune_level=0.6)
+    Z, conditions, close_pairs = square_orbits(sq, seeds, prune_after=1, prune_level=0.6)
+    reps = [sq.to_param(z) for z in Z]
     flagged = [i for i, c in enumerate(conditions) if c < FAMILY_RANK_TOL]
     if flagged:
         raise NonIsolatedSolutionsError(
@@ -166,11 +167,13 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
     """Trace the rectangle branch through every labeled square and check the
     per-component square parity bookkeeping.
 
-    Each square orbit is traced once, from its first labeling on no known
-    component; the other labelings' components are the branch's images
-    (``rect.images``), whose squares are the refined squares relabeled.
-    Labeled squares are the bookkeeping unit: an image whose labeling of
-    the traced square is already on a component is not added again.
+    Each square orbit is traced once, from its first labeling
+    (``sq.images``) on no known component; the other labelings' components
+    are the branch's images (``rect.images``), whose squares are the refined
+    squares relabeled the same way.  Labeled squares are the bookkeeping
+    unit, compared in the chart (max-norm of ``sq.chart_diff`` below 1e-4):
+    an image whose labeling of the traced square is already on a component
+    is not added again.
     Closed components are classified by isotropy order (1, 2, or 4); open
     components (branches that run into the chart boundary, which real curves
     produce) are excluded from the parity bookkeeping with a warning.
@@ -180,30 +183,30 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
     rect = RectangleSystem(curve)
     sq = SquareSystem(curve)
     components = []
+    labeled = np.empty((0, 4))  # the squares on known components, as labeled
 
-    def contained(p_lab):
+    def contained(z):
         # labeled squares are the bookkeeping unit: no orbit quotient
-        return any(param_dist(p_lab, s) < 1e-4 for c in components for s in c["squares"])
+        return bool(np.any(np.max(np.abs(sq.chart_diff(z, labeled)), axis=-1) < 1e-4))
 
     for orbit in report.orbits:
-        p0 = PolygonParam(orbit["base"], orbit["gaps"])
-        labelings = [cyclic_shift(p0, k) for k in range(4)]
-        p_lab = next((p for p in labelings if not contained(p)), None)
-        if p_lab is None:
+        z0 = sq.from_param(PolygonParam(orbit["base"], orbit["gaps"]))
+        z_lab = next((z for z in sq.images(z0) if not contained(z)), None)
+        if z_lab is None:
             continue
-        br = trace_branch(rect, rect.from_param(p_lab), settings)
-        squares = [
-            sq.to_param(refine(sq, ev.z, tol=1e-10))
-            for ev in branch_events(br, rect.fatness, "square_on_branch", settings)
-        ]
-        for k, points in enumerate(rect.images(br.points)):
-            if k and contained(cyclic_shift(p_lab, k)):
+        br = trace_branch(rect, z_lab, settings)
+        events = branch_events(br, rect.fatness, "square_on_branch", settings)
+        squares = np.array([refine(sq, ev.z, tol=1e-10) for ev in events]).reshape(-1, 4)
+        starts = sq.images(z_lab)
+        for k, (points, image_squares) in enumerate(zip(rect.images(br.points), rect.images(squares))):
+            if k and contained(starts[k]):
                 continue
             image = image_branch(br, points) if k else br
+            labeled = np.concatenate([labeled, image_squares])
             components.append(
                 {
                     "branch": image,
-                    "squares": [cyclic_shift(s, k) for s in squares],
+                    "squares": [sq.to_param(z) for z in image_squares],
                     "closed": image.closed,
                     "isotropy": image.isotropy_order if image.closed else None,
                     "square_events": len(squares),

@@ -65,6 +65,19 @@ def _pair_grad(gi, gj, n, rows, i, j):
     return G
 
 
+def chord_dists_and_grad(P, D, pairs):
+    """Chord lengths between vertex pairs and their gradients (..., m, n)
+    with respect to the vertex parameters, from the curve points P and
+    velocities D (..., n, dim) of the n vertices."""
+    rows, i, j = _pair_index(pairs)
+    diff = P[..., i, :] - P[..., j, :]
+    L = _coord_norm(diff)
+    safe = np.maximum(L, _TINY)
+    gi = _coord_sum(diff * D[..., i, :]) / safe
+    gj = -_coord_sum(diff * D[..., j, :]) / safe
+    return L, _pair_grad(gi, gj, P.shape[-2], rows, i, j)
+
+
 class DistanceField:
     def d(self, x, y):
         raise NotImplementedError
@@ -106,18 +119,6 @@ class ChordalField(DistanceField):
         diff = self.curve.eval(np.asarray(x, dtype=float)) - self.curve.eval(np.asarray(y, dtype=float))
         return np.linalg.norm(diff, axis=-1)
 
-    def partials(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        diff = self.curve.eval(x) - self.curve.eval(y)
-        dist = np.linalg.norm(diff, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = diff / dist[..., None]  # nan on the diagonal; callers prune
-        return (
-            np.sum(u * self.curve.deriv(x), axis=-1),
-            -np.sum(u * self.curve.deriv(y), axis=-1),
-        )
-
     def pair_dists(self, V, pairs):
         """Chord lengths, evaluating each vertex once."""
         P = self.curve.eval(V)
@@ -128,14 +129,7 @@ class ChordalField(DistanceField):
         """Chord lengths and their gradients from one evaluation of each
         vertex (position and velocity together); finite on the diagonal.
         One point (V of shape (n,)) and a batch run the same arithmetic."""
-        P, D = self.curve.eval_and_deriv(V)
-        rows, i, j = _pair_index(pairs)
-        diff = P[..., i, :] - P[..., j, :]
-        L = _coord_norm(diff)
-        safe = np.maximum(L, _TINY)
-        gi = _coord_sum(diff * D[..., i, :]) / safe
-        gj = -_coord_sum(diff * D[..., j, :]) / safe
-        return L, _pair_grad(gi, gj, V.shape[-1], rows, i, j)
+        return chord_dists_and_grad(*self.curve.eval_and_deriv(V), pairs)
 
     def spec(self):
         return {"kind": "chordal", "curve": self.curve.spec()}

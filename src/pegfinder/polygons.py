@@ -1,10 +1,10 @@
-"""Parameter space of counter-clockwise n-tuples on the circle.
+"""The value type of counter-clockwise n-tuples on the circle.
 
 A polygon parameter is a base point x on R/Z plus a gap vector
 (t_0, ..., t_{n-1}) of nonnegative reals summing to 1; vertex i sits at
-x + t_0 + ... + t_{i-1}.  The cyclic relabeling action rotates the gap
-vector and advances the base by t_0.  Star coordinates replace the base by
-x* = x + sum_k (n-k)/n * t_{k-1}, on which relabeling is a rigid 1/n shift.
+x + t_0 + ... + t_{i-1}.  It is what the finders report; relabeling,
+orbit representatives and distances are chart arithmetic, owned by each
+residual system (``PolygonSystem.shift``, ``canonical``, ``orbit_dist``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import circle_dist, wrap
+from .circle import wrap
 from .errors import DomainError
 
 SUM_SLACK = 1e-9  # gap sums farther than this from 1 are rejected, not renormalized
@@ -42,29 +42,9 @@ class PolygonParam:
     def n(self) -> int:
         return self.gaps.shape[0]
 
-    def is_interior(self) -> bool:
-        return bool(np.min(self.gaps) > 0.0)
-
     def __repr__(self):
         gaps = ", ".join(f"{t:.6g}" for t in self.gaps)
         return f"PolygonParam({self.base:.6g}; {gaps})"
-
-
-@dataclass(frozen=True, eq=False)
-class StarParam:
-    star_base: float
-    gaps: np.ndarray
-
-    def __init__(self, star_base, gaps):
-        gaps = np.asarray(gaps, dtype=float)
-        gaps = gaps / gaps.sum()
-        gaps.setflags(write=False)
-        object.__setattr__(self, "star_base", float(wrap(star_base)))
-        object.__setattr__(self, "gaps", gaps)
-
-    @property
-    def n(self) -> int:
-        return self.gaps.shape[0]
 
 
 def vertices(p: PolygonParam) -> np.ndarray:
@@ -87,50 +67,6 @@ def from_vertices(xs) -> PolygonParam:
     return PolygonParam(xs[0], np.concatenate([arcs, [max(last, 0.0)]]))
 
 
-def cyclic_shift(p: PolygonParam, k: int = 1) -> PolygonParam:
-    """Relabel vertices cyclically k steps: new base is the old second vertex."""
-    k = k % p.n
-    cum = np.concatenate([[0.0], np.cumsum(p.gaps[:-1])])
-    return PolygonParam(p.base + cum[k], np.roll(p.gaps, -k))
-
-
 def param_dict(p: PolygonParam) -> dict:
     """JSON form of a parameter: base, gaps and vertex parameters."""
     return {"base": p.base, "gaps": p.gaps.tolist(), "vertices": vertices(p).tolist()}
-
-
-def star_base(p: PolygonParam) -> float:
-    n = p.n
-    weights = (n - np.arange(1, n)) / n
-    return float(wrap(p.base + weights @ p.gaps[: n - 1]))
-
-
-def to_star(p: PolygonParam) -> StarParam:
-    return StarParam(star_base(p), p.gaps)
-
-
-def from_star(s: StarParam) -> PolygonParam:
-    n = s.n
-    weights = (n - np.arange(1, n)) / n
-    return PolygonParam(s.star_base - weights @ s.gaps[: n - 1], s.gaps)
-
-
-def boundary_distance(p: PolygonParam) -> float:
-    """Distance to the boundary of the open simplex: the smallest gap."""
-    return float(np.min(p.gaps))
-
-
-def param_dist(p: PolygonParam, q: PolygonParam) -> float:
-    """Max-norm distance in (base, gaps), base compared on the circle."""
-    return float(max(circle_dist(p.base, q.base), np.max(np.abs(p.gaps - q.gaps))))
-
-
-def orbit_dist(p: PolygonParam, q: PolygonParam) -> float:
-    """Distance between the cyclic orbits of p and q."""
-    return min(param_dist(cyclic_shift(p, k), q) for k in range(p.n))
-
-
-def canonical(p: PolygonParam) -> PolygonParam:
-    """Orbit representative with the smallest star base over all relabelings."""
-    shifts = [cyclic_shift(p, k) for k in range(p.n)]
-    return min(shifts, key=lambda s: (star_base(s), tuple(s.gaps)))

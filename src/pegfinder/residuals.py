@@ -37,7 +37,7 @@ from scipy.linalg import helmert
 from .circle import circle_dist, signed_gap, wrap
 from .curves import EmbeddedSphere
 from .errors import DegenerateConfigurationError, DomainError
-from .fields import _coord_norm, _coord_sum, as_field
+from .fields import _coord_norm, _coord_sum, as_field, chord_dists_and_grad
 from .polygons import PolygonParam
 
 _TINY = 1e-300
@@ -150,9 +150,13 @@ class PolygonSystem(ResidualSystem):
     def from_param(self, p: PolygonParam):
         return np.concatenate([[p.base], p.gaps[:-1]])
 
-    def star_base_z(self, z):
+    @staticmethod
+    def star_base_z(z):
+        """Star base x + sum_k (n-k)/n t_{k-1} of P_n chart points (..., n),
+        on which a cyclic relabeling is a rigid 1/n shift."""
         z = np.asarray(z, dtype=float)
-        weights = (self.n - np.arange(1, self.n)) / self.n
+        n = z.shape[-1]
+        weights = (n - np.arange(1, n)) / n
         return wrap(z[..., 0] + z[..., 1:] @ weights)
 
     def gaps_of(self, z):
@@ -314,7 +318,7 @@ class ParallelogramSystem(PolygonSystem):
     def linearize(self, z):
         V = self.vertex_params(z)
         P, D = self.curve.eval_and_deriv(V)
-        L, Glen = self.field.pair_dists_and_grad(V, QUAD_EDGES)
+        L, Glen = chord_dists_and_grad(P, D, QUAD_EDGES)
         mid = P[..., 0, :] + P[..., 2, :] - P[..., 1, :] - P[..., 3, :]
         ratio = L[..., 0] + L[..., 2] - self.r * (L[..., 1] + L[..., 3])
         sign = np.array([1.0, -1.0, 1.0, -1.0])

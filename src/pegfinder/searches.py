@@ -16,11 +16,11 @@ from .circle import circle_dist, wrap
 from .curves import ClosedCurve, EmbeddedSphere
 from .errors import ConvergenceError, DomainError, NonIsolatedSolutionsError, SearchFailure
 from .fields import as_field
-from .polygons import canonical, orbit_dist
 from .residuals import (
     EdgeRatioSystem,
     OctahedronSystem,
     ParallelogramSystem,
+    PolygonSystem,
     RectangleSystem,
     ResidualSystem,
     Rhombus3dSystem,
@@ -77,9 +77,7 @@ def polygon_seed_grid(n, nx, m, symmetry_order=1):
     seeds[:, 0] = np.repeat(xs, len(shapes))
     seeds[:, 1:] = np.tile(shapes, (nx, 1))
     if symmetry_order > 1:
-        weights = (n - np.arange(1, n)) / n
-        star = wrap(seeds[:, 0] + seeds[:, 1:] @ weights)
-        seeds = seeds[star < 1.0 / symmetry_order]
+        seeds = seeds[PolygonSystem.star_base_z(seeds) < 1.0 / symmetry_order]
     return seeds
 
 
@@ -194,29 +192,32 @@ def _best_first(branches, top):
 def square_orbits(sq, seeds, **gn_kwargs):
     """Distinct square orbits from batched Newton on the given chart seeds.
 
-    Returns (orbit representatives, Jacobian condition ratios, index pairs of
-    representatives closer than 1e-2): a small ratio or a close pair is the
-    symptom of a square family rather than isolated squares.
+    Returns (canonical chart points (k, 4), one per orbit; their Jacobian
+    condition ratios; index pairs of orbits closer than 1e-2): a small ratio
+    or a close pair is the symptom of a square family rather than isolated
+    squares.
     """
     zeros = gauss_newton_batch(sq, seeds, tol=1e-11, **gn_kwargs)
-    reps = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
-    conditions = [smallest_singular_ratio(sq, sq.from_param(p)) for p in reps]
+    Z = dedup_orbits(sq, zeros)
+    conditions = [smallest_singular_ratio(sq, z) for z in Z]
     close_pairs = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(reps)), 2)
-        if orbit_dist(reps[i], reps[j]) < 1e-2
+        (i, i + 1 + int(j))
+        for i in range(len(Z))
+        for j in np.flatnonzero(sq.orbit_dist(Z[i + 1 :], Z[i]) < 1e-2)
     ]
-    return reps, conditions, close_pairs
+    return Z, conditions, close_pairs
 
 
-def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
+def find_square(curve: ClosedCurve, settings=None):
     """Locate a square through the invariant-rhombus diagonal swap, with an
     independent multistart-Newton cross-check.
 
     Rhombus branches are traced best-first (closed and most symmetric
     first), and only as many as it takes: the square is the first
     diagonal-swap event of the first branch that has one, and that event is
-    the only one bisected.
+    the only one bisected.  The refined square is snapped once to the
+    square it reports (``from_param(to_param(z))``), and every check is
+    measured there.
 
     Returns (PolygonParam, provenance dict).
     """
@@ -224,68 +225,54 @@ def find_square(curve: ClosedCurve, settings=None, nx=24, m=16):
     sq = SquareSystem(curve)
     er = EdgeRatioSystem(curve, 4)
 
-    newton_reps, conditions, close_pairs = square_orbits(sq, polygon_seed_grid(4, nx, m))
+    newton_Z, conditions, close_pairs = square_orbits(sq, polygon_seed_grid(4, 24, 16))
     family = any(c < FAMILY_RANK_TOL for c in conditions) or bool(close_pairs)
 
     seeds = polygon_seed_grid(4, 10, 8)
     branches = _iter_branches(er, seeds, settings, max_branches=12)
-    swap_square = None
-    swap_info = {}
     tried = 0
     for br in _best_first(branches, er.symmetry_order):
         tried += 1
         swap = next(branch_events(br, er.diagonal_gap, "diagonal_swap", settings), None)
         if swap is not None:
-            z = refine(sq, swap.z, tol=1e-11)
-            swap_square = sq.to_param(z)
-            swap_info = {
-                "route": "diagonal_swap",
-                "branch_closed": br.closed,
-                "branch_isotropy": br.isotropy_order,
-                "branch_winding": br.winding,
-            }
-            break
-        gap = np.max(np.abs(er.diagonal_gap(br.points)))
-        if gap < 1e-9:
+            z, route = swap.z, "diagonal_swap"
+        elif np.max(np.abs(er.diagonal_gap(br.points))) < 1e-9:
             # every rhombus on this branch is already a square (circle case)
-            mid = br.points[len(br) // 2]
-            z = refine(sq, mid, tol=1e-11)
-            swap_square = sq.to_param(z)
-            swap_info = {
-                "route": "square_family_branch",
-                "branch_closed": br.closed,
-                "branch_isotropy": br.isotropy_order,
-                "branch_winding": br.winding,
-            }
-            break
-    if swap_square is None:
+            z, route = br.points[len(br) // 2], "square_family_branch"
+        else:
+            continue
+        break
+    else:
         raise SearchFailure(
             "no usable invariant rhombus branch; this contradicts the prime-power "
             "family guarantee for n=4 and indicates numerical trouble",
-            {"branches": tried, "newton_orbits": len(newton_reps)},
+            {"branches": tried, "newton_orbits": len(newton_Z)},
         )
+    z = sq.from_param(sq.to_param(refine(sq, z, tol=1e-11)))
 
-    provenance = dict(swap_info)
-    provenance["newton_orbit_count"] = len(newton_reps)
-    provenance["jacobian_condition_ratios"] = conditions
-    provenance["family_detected"] = family
+    provenance = {
+        "route": route,
+        "branch_closed": br.closed,
+        "branch_isotropy": br.isotropy_order,
+        "branch_winding": br.winding,
+        "newton_orbit_count": len(newton_Z),
+        "jacobian_condition_ratios": conditions,
+        "family_detected": family,
+    }
     if family:
         # continuum of squares: agreement is up to the family, so re-run the
         # corrector from a nudged copy and require it to fall back on the square
-        z = sq.from_param(swap_square)
         nudged = refine(sq, z + 1e-4, tol=1e-11)
-        provenance["newton_agreement"] = float(
-            np.linalg.norm(sq.residual(nudged))
-        )
+        provenance["newton_agreement"] = float(np.linalg.norm(sq.residual(nudged)))
         provenance["agrees"] = True
     else:
-        if not newton_reps:
+        if not len(newton_Z):
             raise SearchFailure("multistart Newton found no squares", provenance)
-        dists = [orbit_dist(swap_square, p) for p in newton_reps]
-        provenance["newton_agreement"] = float(min(dists))
-        provenance["agrees"] = bool(min(dists) <= 1e-6)
-    provenance["residual"] = float(np.linalg.norm(sq.residual(sq.from_param(swap_square))))
-    return canonical(swap_square), provenance
+        agreement = float(np.min(sq.orbit_dist(newton_Z, z)))
+        provenance["newton_agreement"] = agreement
+        provenance["agrees"] = agreement <= 1e-6
+    provenance["residual"] = float(np.linalg.norm(sq.residual(z)))
+    return sq.to_param(sq.canonical(z[None])[0]), provenance
 
 
 # --- rectangles ---------------------------------------------------------------
@@ -305,38 +292,37 @@ def find_rectangle(curve: ClosedCurve, r, settings=None, cross_check=False):
             "grid (the underlying conjecture is open)",
             {"ratio": r, "seeds": len(seeds)},
         )
-    params = [par.to_param(z) for z in dedup_orbits(par, zeros, max_merge=128)]
-    best = params[0]
+    samples = dedup_orbits(par, zeros, max_merge=128)
+    best = par.to_param(samples[0])
     info = {
         "ratio": float(r),
         # the zero set of the parallelogram map is one-dimensional (the
         # invariant family of the lemma), so this counts sampled points
-        "zeros_sampled": len(params),
+        "zeros_sampled": len(samples),
         "residual": float(np.linalg.norm(par.residual(par.from_param(best)))),
     }
     if cross_check:
-        info["aspect_event"] = _rectangle_branch_check(curve, r, params, settings)
+        info["aspect_event"] = _rectangle_branch_check(par, samples, settings)
     return best, info
 
 
-def _rectangle_branch_check(curve, r, candidates, settings):
+def _rectangle_branch_check(par, samples, settings):
     """Locate a ratio-r rectangle as an aspect event on the rectangle branch
-    through a square, and verify it is a zero of the parallelogram map."""
-    rect = RectangleSystem(curve)
-    square, _ = find_square(curve, settings)
+    through a square, and verify it is a zero of the parallelogram map par
+    near one of its multistart samples (chart points)."""
+    rect = RectangleSystem(par.curve)
+    square, _ = find_square(par.curve, settings)
     br = trace_branch(rect, rect.from_param(square), settings)
-    hits = list(branch_events(br, rect.aspect_event(r), "aspect_ratio_hit", settings))
+    hits = list(branch_events(br, rect.aspect_event(par.r), "aspect_ratio_hit", settings))
     if not hits:
         return {"found": False, "branch_closed": br.closed}
-    par = ParallelogramSystem(curve, r)
     out = {"found": True, "hits": len(hits)}
     residual = []
     nearest = []
     for e in hits:
         z = refine(par, e.z, tol=1e-10)
-        p = par.to_param(z)
         residual.append(float(np.linalg.norm(par.residual(z))))
-        nearest.append(min(orbit_dist(p, c) for c in candidates))
+        nearest.append(float(np.min(par.orbit_dist(samples, z))))
     out["event_residual_as_parallelogram"] = min(residual)
     out["nearest_multistart_sample"] = float(min(nearest))
     return out
@@ -345,14 +331,13 @@ def _rectangle_branch_check(curve, r, candidates, settings):
 # --- triangles ----------------------------------------------------------------
 
 
-def find_equilateral_triangle(source, settings=None, nx=16, m=9):
+def find_equilateral_triangle(source):
     """Three distinct circle points equidistant under the field.
 
     Returns ((x, y, z), info).  Degenerate near-diagonal zeros are rejected.
     """
-    settings = settings or TraceSettings()
     sys = TriangleSystem(source)
-    seeds = polygon_seed_grid(3, nx, m)
+    seeds = polygon_seed_grid(3, 16, 9)
     zeros = gauss_newton_batch(sys, seeds, tol=1e-11)
     good = []
     for z in zeros:
@@ -587,14 +572,13 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
 # --- edge-regular families -------------------------------------------------------
 
 
-def edge_ratio_branches(curve: ClosedCurve, n, rhos=None, settings=None, nx=12, m=None):
+def edge_ratio_branches(curve: ClosedCurve, n, rhos=None, settings=None):
     """Every component of the prescribed-edge-ratio system hit by the seed
     grid.  Only the fundamental domain of the system's Z_n symmetry is
     seeded: the other members of a branch's orbit are its images."""
     settings = settings or TraceSettings()
     sys = EdgeRatioSystem(curve, n, rhos)
-    m = m or max(8, 2 * n + 4)
-    seeds = polygon_seed_grid(n, nx, m, sys.symmetry_order)
+    seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4), sys.symmetry_order)
     branches = enumerate_branches(sys, seeds, settings, max_branches=24)
     if n == 4 and sys.symmetry_order == 4:
         # the diagonal swaps (squares) go ahead of the boundary approaches

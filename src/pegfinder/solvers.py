@@ -26,11 +26,11 @@ from .errors import BoundaryExitError, ConvergenceError, DomainError
 _BLOCK_ROWS = 8192
 
 
-def refine(system, z0, tol=1e-10, max_iter=50, boundary_floor=0.0):
+def refine(system, z0, tol=1e-10, max_iter=50):
     """Drive the residual below tol from z0; returns the corrected point.
 
     Raises ConvergenceError after max_iter sweeps, BoundaryExitError if the
-    iterate leaves the chart interior (margin below boundary_floor).
+    iterate leaves the chart interior (negative boundary margin).
     """
     if max_iter < 1:
         raise DomainError(f"refine needs max_iter >= 1, not {max_iter}")
@@ -54,7 +54,7 @@ def refine(system, z0, tol=1e-10, max_iter=50, boundary_floor=0.0):
         else:
             raise ConvergenceError(f"corrector stalled at residual {r:.3e}")
         z = trial
-        if system.boundary_margin(z) < boundary_floor:
+        if system.boundary_margin(z) < 0.0:
             raise BoundaryExitError("corrector left the chart interior")
         best = r
     raise ConvergenceError(f"no convergence in {max_iter} iterations (residual {best:.3e})")

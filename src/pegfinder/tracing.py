@@ -7,7 +7,7 @@ hands the J at the accepted point to the next tangent; one bisection loop
 serves closure, boundary and event location.  Events are located after the
 trace, on the branch (``branch_events``), one sign change at a time.  Chart
 differences and relabelings come from the system (``chart_diff``,
-``shift``).  Loops close when the trace re-crosses the starting hyperplane
+``images``).  Loops close when the trace re-crosses the starting hyperplane
 next to the start point; open branches stop when the chart boundary margin
 drops below the floor, which the geometry legitimately produces
 (degenerating rectangles, spiral paths), so it is a termination state and
@@ -407,16 +407,17 @@ def _isotropy(system, branch, settings):
     for k in range(2, s + 1):
         if s % k:
             continue
-        # the order-k subgroup of Z_n is generated by a shift of n / k labels
-        shifted = system.shift(probes, system.n // k)
+        # the order-k subgroup is generated by a shift of n / k labels, the
+        # (s / k)-th of the images (shifts by multiples of n / s)
+        shifted = system.images(probes)[s // k]
         if all(chain_distance(system, branch.points, z) < tol for z in shifted):
             best = k
     return best
 
 
 def isotropy(branch: Branch, system=None) -> int:
-    """Largest k dividing the symmetry order with shift^(n/k) mapping the
-    branch onto itself."""
+    """Largest k dividing the symmetry order whose order-k relabeling
+    (shift^(n/k)) maps the branch onto itself."""
     system = system or branch.system
     if not branch.closed:
         raise ConvergenceError("isotropy requires a closed branch")

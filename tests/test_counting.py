@@ -15,7 +15,7 @@ from pegfinder import (
 from pegfinder import _threads, counting, solvers
 from pegfinder.counting import CountReport
 from pegfinder.errors import DomainError
-from pegfinder.polygons import PolygonParam, from_vertices, orbit_dist
+from pegfinder.polygons import PolygonParam, from_vertices
 from pegfinder.residuals import SquareSystem
 from pegfinder.searches import dedup_orbits, polygon_seed_grid
 from pegfinder.solvers import gauss_newton_batch, refine
@@ -40,7 +40,8 @@ def test_count_squares_ellipse_single_odd_orbit(ellipse, ellipse_squares):
     t1 = np.arctan(2) / (2 * np.pi)
     expected = from_vertices([t1, 0.5 - t1, 0.5 + t1, 1 - t1])
     found = PolygonParam(rep.orbits[0]["base"], rep.orbits[0]["gaps"])
-    assert orbit_dist(found, expected) < 1e-6
+    sq = SquareSystem(ellipse)
+    assert sq.orbit_dist(sq.from_param(found), sq.from_param(expected)) < 1e-6
     assert rep.orbits[0]["ccw_square_labeling"] is True
 
 
@@ -185,10 +186,10 @@ def test_three_square_orbits_and_rectangle_bookkeeping():
     rep = count_squares(curve)
     assert rep.orbit_count == 3
     assert rep.parity == 1 and rep.verdicts["parity_odd"]
-    for i, a in enumerate(rep.orbits):
-        for b in rep.orbits[i + 1 :]:
-            pa, pb = PolygonParam(a["base"], a["gaps"]), PolygonParam(b["base"], b["gaps"])
-            assert orbit_dist(pa, pb) > 1e-2
+    sq = SquareSystem(curve)
+    Z = np.array([sq.from_param(PolygonParam(o["base"], o["gaps"])) for o in rep.orbits])
+    for i, z in enumerate(Z):
+        assert np.all(sq.orbit_dist(Z[i + 1 :], z) > 1e-2)
     comps = classify_rectangle_components(curve, square_report=rep)
     assert comps.total == 12
     assert comps.verdicts["total_matches_orbit_count"]
@@ -247,11 +248,11 @@ def test_count_squares_fundamental_domain_matches_full_grid(name, params, orbits
     zeros = gauss_newton_batch(
         sq, polygon_seed_grid(4, 150, 24), tol=1e-11, prune_after=1, prune_level=0.6
     )
-    full = [sq.to_param(z) for z in dedup_orbits(sq, zeros)]
+    full = dedup_orbits(sq, zeros)
     assert rep.orbit_count == len(full) == orbits
     for o in rep.orbits:
-        p = PolygonParam(o["base"], o["gaps"])
-        assert min(orbit_dist(p, q) for q in full) < 1e-8
+        z = sq.from_param(PolygonParam(o["base"], o["gaps"]))
+        assert np.min(sq.orbit_dist(full, z)) < 1e-8
 
 
 def test_count_squares_on_a_distance_field():

@@ -1,22 +1,30 @@
+"""The polygon value type, and the relabeling arithmetic of the P_n chart.
+
+``PolygonParam``, ``vertices`` and ``from_vertices`` are tested on the value
+type.  Relabeling, star bases, orbit representatives and orbit distances are
+chart methods of the polygon systems, so their properties are tested on a
+square, an equilateral pentagon and a triangle system.
+"""
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pegfinder import (
     DomainError,
+    EdgeRatioSystem,
     PolygonParam,
-    boundary_distance,
-    canonical,
-    cyclic_shift,
-    from_star,
+    SquareSystem,
+    TriangleSystem,
+    corpus,
     from_vertices,
-    orbit_dist,
-    to_star,
     vertices,
 )
-from pegfinder.circle import wrap
-from pegfinder.polygons import param_dist, star_base
+from pegfinder.circle import circle_dist, wrap
+
+_ELLIPSE = corpus("ellipse")
+SYSTEMS = (SquareSystem(_ELLIPSE), EdgeRatioSystem(_ELLIPSE, 5), TriangleSystem(_ELLIPSE))
 
 
 def gaps_strategy(n):
@@ -29,6 +37,11 @@ def params(n):
     return st.tuples(st.floats(0.0, 1.0, exclude_max=True), gaps_strategy(n)).map(
         lambda t: PolygonParam(t[0], t[1])
     )
+
+
+def chart_point(data, sys):
+    """A chart point of sys in the open simplex, drawn through the value type."""
+    return sys.from_param(data.draw(params(sys.n)))
 
 
 def test_vertices_regular_square():
@@ -73,66 +86,12 @@ def test_from_vertices_rejects_disordered():
         from_vertices([0.0, 0.5, 0.25, 0.9])
 
 
-def test_cyclic_shift_examples():
-    p = PolygonParam(0.0, [0.25, 0.25, 0.25, 0.25])
-    q = cyclic_shift(p)
-    assert q.base == 0.25
-    p2 = PolygonParam(0.0, [0.5, 0.3, 0.2])
-    q2 = cyclic_shift(p2)
-    assert q2.base == 0.5
-    assert np.allclose(q2.gaps, [0.3, 0.2, 0.5])
-
-
-@settings(max_examples=100, deadline=None)
-@given(params(4))
-def test_shift_orbit_closes(p):
-    q = p
-    for _ in range(4):
-        q = cyclic_shift(q)
-    assert param_dist(p, q) < 1e-12
-
-
-@settings(max_examples=100, deadline=None)
-@given(params(5))
-def test_shift_equivariance_on_vertices(p):
-    from pegfinder.circle import circle_dist
-
-    rolled = np.roll(vertices(p), -1)
-    assert np.max(circle_dist(vertices(cyclic_shift(p)), rolled)) < 1e-12
-
-
-def test_star_base_regular_square():
-    p = PolygonParam(0.0, [0.25, 0.25, 0.25, 0.25])
-    assert star_base(p) == pytest.approx(3.0 / 8.0, abs=1e-15)
-
-
-@settings(max_examples=100, deadline=None)
-@given(params(4))
-def test_star_roundtrip(p):
-    q = from_star(to_star(p))
-    assert param_dist(p, q) < 1e-11
-
-
-@settings(max_examples=100, deadline=None)
-@given(params(4))
-def test_star_action_is_rigid_rotation(p):
-    ds = wrap(star_base(cyclic_shift(p)) - star_base(p))
-    assert min(abs(ds - 0.25), abs(ds - 0.25 - 1), abs(ds - 0.25 + 1)) < 1e-12
-
-
-def test_boundary_distance():
-    assert boundary_distance(PolygonParam(0.0, [0.25] * 4)) == 0.25
-    assert boundary_distance(PolygonParam(0.1, [0.0, 0.0, 1.0, 0.0])) == 0.0
-    assert boundary_distance(PolygonParam(0.0, [0.2, 0.3, 0.5])) == pytest.approx(0.2)
-
-
 @settings(max_examples=200, deadline=None)
 @given(params(4))
 def test_roundtrip_from_vertices(p):
-    if boundary_distance(p) <= 0:
-        return
     q = from_vertices(vertices(p))
-    assert orbit_dist(p, q) < 1e-9
+    assert circle_dist(p.base, q.base) < 1e-9
+    assert np.max(np.abs(p.gaps - q.gaps)) < 1e-9
 
 
 def test_gap_renormalization_and_rejection():
@@ -144,9 +103,92 @@ def test_gap_renormalization_and_rejection():
         PolygonParam(0.0, [-0.1, 0.4, 0.4, 0.3])
 
 
+# --- relabeling on the chart ----------------------------------------------------
+
+
+def test_boundary_distance():
+    # the chart's boundary margin is the smallest gap, the last one included
+    sq, _, tri = SYSTEMS
+    assert sq.boundary_margins(sq.from_param(PolygonParam(0.0, [0.25] * 4))) == 0.25
+    assert sq.boundary_margins(sq.from_param(PolygonParam(0.1, [0.0, 0.0, 1.0, 0.0]))) == 0.0
+    assert tri.boundary_margins(tri.from_param(PolygonParam(0.0, [0.2, 0.3, 0.5]))) == pytest.approx(0.2)
+    Z = np.array([[0.0, 0.25, 0.25, 0.25], [0.1, 0.0, 0.0, 1.0]])
+    assert np.array_equal(sq.boundary_margins(Z), [0.25, 0.0])
+
+
+def test_cyclic_shift_examples():
+    sq, _, tri = SYSTEMS
+    assert sq.shift(np.array([0.0, 0.25, 0.25, 0.25]))[0] == 0.25
+    q = tri.shift(np.array([0.0, 0.5, 0.3]))
+    assert q[0] == 0.5
+    assert np.allclose(tri.gaps_of(q), [0.3, 0.2, 0.5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_shift_orbit_closes(data):
+    for sys in SYSTEMS:
+        z = chart_point(data, sys)
+        w = z
+        for _ in range(sys.n):
+            w = sys.shift(w)
+        assert np.max(np.abs(sys.chart_diff(w, z))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_shift_equivariance_on_vertices(data):
+    for sys in SYSTEMS:
+        z = chart_point(data, sys)
+        rolled = np.roll(sys.vertex_params(z), -1)
+        assert np.max(circle_dist(sys.vertex_params(sys.shift(z)), rolled)) < 1e-12
+
+
+def test_star_base_regular_square():
+    sq = SYSTEMS[0]
+    assert sq.star_base_z(np.array([0.0, 0.25, 0.25, 0.25])) == pytest.approx(3.0 / 8.0, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_star_action_is_rigid_rotation(data):
+    for sys in SYSTEMS:
+        z = chart_point(data, sys)
+        ds = sys.star_base_z(sys.shift(z)) - sys.star_base_z(z)
+        assert circle_dist(ds, 1.0 / sys.n) < 1e-12
+
+
 def test_canonical_picks_smallest_star_base():
-    p = PolygonParam(0.6, [0.1, 0.2, 0.3, 0.4])
-    c = canonical(p)
-    stars = [star_base(cyclic_shift(p, k)) for k in range(4)]
-    assert star_base(c) == pytest.approx(min(stars))
-    assert orbit_dist(p, c) < 1e-12
+    sq = SYSTEMS[0]
+    z = sq.from_param(PolygonParam(0.6, [0.1, 0.2, 0.3, 0.4]))
+    c = sq.canonical(z[None])[0]
+    assert sq.star_base_z(c) == pytest.approx(np.min(sq.star_base_z(sq.images(z))))
+    assert sq.orbit_dist(z, c) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_canonical_lands_in_the_fundamental_domain_and_is_orbit_invariant(data):
+    for sys in SYSTEMS:
+        s = sys.symmetry_order
+        z = chart_point(data, sys)
+        # a star base on a window edge may round to either neighbouring labeling
+        assume(circle_dist(s * sys.star_base_z(z), 0.0) > 1e-9)
+        C = sys.canonical(sys.images(z))
+        stars = sys.star_base_z(C)
+        assert np.all((stars < 1.0 / s + 1e-12) | (stars > 1.0 - 1e-12))  # [0, 1/s) on the circle
+        assert np.max(np.abs(sys.chart_diff(C, C[0]))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orbit_dist_vanishes_on_images_and_is_symmetric_within_a_factor_n(data):
+    # the max norm on (base, gaps) is not relabeling-invariant (a shift adds
+    # a gap difference to the base difference), so swapping the arguments
+    # can change the distance, but by at most a factor n
+    for sys in SYSTEMS:
+        z, w = chart_point(data, sys), chart_point(data, sys)
+        assert np.all(sys.orbit_dist(sys.images(z), z) < 1e-12)
+        assert all(sys.orbit_dist(z, image) < 1e-12 for image in sys.images(z))
+        a, b = float(sys.orbit_dist(z, w)), float(sys.orbit_dist(w, z))
+        assert a <= sys.n * b + 1e-12 and b <= sys.n * a + 1e-12

@@ -134,6 +134,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--corpus", "ellipse", "--a", "1", "--b", "0"],
         ["find-square", "--curve", "collinear.json"],
         ["find-square", "--curve", "doubled.json"],
+        # fourier-random is simple only for an integral degree >= 1 and |amp| < 1
+        ["find-square", "--corpus", "fourier-random", "--amp", "1.5"],
+        ["find-square", "--corpus", "fourier-random", "--amp", "-1"],
+        ["find-square", "--corpus", "fourier-random", "--amp", "nan"],
+        ["find-square", "--corpus", "fourier-random", "--degree", "2.5"],
+        ["find-square", "--corpus", "fourier-random", "--degree", "0"],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv

@@ -18,13 +18,25 @@ from pegfinder import (
     SquareSystem,
     TriangleSystem,
     corpus,
-    cyclic_shift,
     from_vertices,
     octahedron_group,
 )
+from pegfinder.circle import circle_dist
 from pegfinder.curves import FourierCurve
-from pegfinder.polygons import param_dist
 from pegfinder.residuals import OCT_EDGES, QUAD_EDGES, QUAD_PAIRS, octahedron_edge_permutation
+
+
+def cyclic_shift(p, k=1):
+    """Reference relabeling on the value type: the base moves to vertex k
+    and the gaps rotate (``PolygonSystem.shift`` is the program's)."""
+    k = k % p.n
+    cum = np.concatenate([[0.0], np.cumsum(p.gaps[:-1])])
+    return PolygonParam(p.base + cum[k], np.roll(p.gaps, -k))
+
+
+def param_dist(p, q):
+    """Reference max-norm distance in (base, gaps), base on the circle."""
+    return float(max(circle_dist(p.base, q.base), np.max(np.abs(p.gaps - q.gaps))))
 
 
 def chord_circle(u):

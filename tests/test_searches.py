@@ -19,7 +19,6 @@ from pegfinder import (
 )
 from pegfinder import searches, tracing
 from pegfinder.errors import ConvergenceError, DomainError, SearchFailure
-from pegfinder.polygons import canonical, orbit_dist
 from pegfinder.fields import as_field
 from pegfinder.residuals import (
     EdgeRatioSystem,
@@ -439,10 +438,11 @@ def _find_planar_rhombus_eager(knot, settings, diameter_floor=1e-3):
 
 def _find_square_eager(curve, settings, nx=24, m=16):
     """Reference: the diagonal-swap square over fully traced, fully bisected
-    branches, with the same multistart cross-check."""
+    branches, with the same multistart cross-check, measured at the square
+    as reported."""
     sq = SquareSystem(curve)
     er = EdgeRatioSystem(curve, 4)
-    newton_reps, conditions, close_pairs = square_orbits(sq, polygon_seed_grid(4, nx, m))
+    newton_Z, conditions, close_pairs = square_orbits(sq, polygon_seed_grid(4, nx, m))
     family = any(c < FAMILY_RANK_TOL for c in conditions) or bool(close_pairs)
     for br in _eager_branches(er, {"diagonal_swap": er.diagonal_gap}, settings):
         swaps = [e for e in br.events if e.kind == "diagonal_swap"]
@@ -452,26 +452,26 @@ def _find_square_eager(curve, settings, nx=24, m=16):
             z, route = br.points[len(br) // 2], "square_family_branch"
         else:
             continue
-        square = sq.to_param(refine(sq, z, tol=1e-11))
+        z = sq.from_param(sq.to_param(refine(sq, z, tol=1e-11)))
         prov = {
             "route": route,
             "branch_closed": br.closed,
             "branch_isotropy": br.isotropy_order,
             "branch_winding": br.winding,
-            "newton_orbit_count": len(newton_reps),
+            "newton_orbit_count": len(newton_Z),
             "jacobian_condition_ratios": conditions,
             "family_detected": family,
         }
         if family:
-            nudged = refine(sq, sq.from_param(square) + 1e-4, tol=1e-11)
+            nudged = refine(sq, z + 1e-4, tol=1e-11)
             prov["newton_agreement"] = float(np.linalg.norm(sq.residual(nudged)))
             prov["agrees"] = True
         else:
-            dists = [orbit_dist(square, p) for p in newton_reps]
+            dists = sq.orbit_dist(newton_Z, z)
             prov["newton_agreement"] = float(min(dists))
             prov["agrees"] = bool(min(dists) <= 1e-6)
-        prov["residual"] = float(np.linalg.norm(sq.residual(sq.from_param(square))))
-        return canonical(square), prov
+        prov["residual"] = float(np.linalg.norm(sq.residual(z)))
+        return sq.to_param(sq.canonical(z[None])[0]), prov
     raise AssertionError("the reference search found no square")
 
 

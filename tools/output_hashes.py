@@ -1,15 +1,17 @@
-"""Print one hash per benchmark call, to compare two checkouts bit for bit.
+"""Print one hash per call, to compare two checkouts bit for bit.
 
     python3 tools/output_hashes.py > hashes.txt
 
 Runs every operation of the `branch-trace` workload at seeds 0, 1 and 2 and
-every `count_squares` operation of `square-count` (see perfbench/), and
-prints a SHA-256 prefix of each output followed by the call's label.  An
-output is hashed exactly: arrays by dtype, shape and bytes, floats by their
-hex form, containers and dataclasses field by field (a branch's system by
-its kind).  The CLI calls are hashed by their exit code and the files they
-write, with ``wall_time_ms`` zeroed.  Run it on two checkouts and diff the
-outputs: a change that claims bit-identical results prints the same lines.
+every `count_squares` operation of `square-count` (see perfbench/), then
+`find_square` on the six square-count curves and
+`find_rectangle(ellipse, 2, cross_check=True)`, and prints a SHA-256 prefix
+of each output followed by the call's label.  An output is hashed exactly:
+arrays by dtype, shape and bytes, floats by their hex form, containers and
+dataclasses field by field (a branch's system by its kind).  The CLI calls
+are hashed by their exit code and the files they write, with
+``wall_time_ms`` zeroed.  Run it on two checkouts and diff the outputs: a
+change that claims bit-identical results prints the same lines.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
+import pegfinder as pf  # noqa: E402
 from pegfinder.residuals import ResidualSystem  # noqa: E402
 
 
@@ -66,10 +69,28 @@ def feed(h, obj):
         raise TypeError(f"no exact encoding for {type(obj).__name__}")
 
 
-def output_hash(op, workdir):
+def finder_calls():
+    """(label, call): find_square on the square-count curves, and the
+    rectangle finder with its branch cross-check on the ellipse."""
+    curves = [
+        (f"fourier-random d4 seed={s}", pf.corpus("fourier-random", degree=4, amp=0.3, seed=s))
+        for s in workloads.C2_COUNTED
+    ]
+    curves += [
+        (f"fourier-random d10 seed={s}", pf.corpus("fourier-random", degree=10, amp=0.6, seed=s))
+        for s, _ in workloads.MULTI_ORBIT
+    ]
+    curves.append(("cusp", pf.corpus("cusp")))
+    calls = [(f"find_square {label}", lambda c=c: pf.find_square(c)) for label, c in curves]
+    ellipse = pf.corpus("ellipse", a=2, b=1)
+    calls.append(("find_rectangle ellipse r=2 cross_check", lambda: pf.find_rectangle(ellipse, 2, cross_check=True)))
+    return calls
+
+
+def output_hash(run, workdir):
     h = hashlib.sha256()
     try:
-        feed(h, op.run())
+        feed(h, run())
     except Exception as err:  # a raised error is an output too
         feed(h, f"{type(err).__name__}: {err}")
     for name in sorted(os.listdir(workdir)):  # files the CLI calls wrote
@@ -87,9 +108,11 @@ def main():
     try:
         for seed in SEEDS:
             for op in workloads.build("branch-trace", seed, str(ROOT), workdir):
-                print(f"{output_hash(op, workdir)}  branch-trace seed={seed} {op.label}", flush=True)
+                print(f"{output_hash(op.run, workdir)}  branch-trace seed={seed} {op.label}", flush=True)
         for op in workloads.build("square-count", 0, str(ROOT), workdir):
-            print(f"{output_hash(op, workdir)}  square-count {op.label}", flush=True)
+            print(f"{output_hash(op.run, workdir)}  square-count {op.label}", flush=True)
+        for label, run in finder_calls():
+            print(f"{output_hash(run, workdir)}  {label}", flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
