@@ -12,7 +12,7 @@ import pathlib
 
 import numpy as np
 
-from pegfinder import SpecialQuadPathSystem, TraceSettings, corpus, count_special_quads, trace_branch
+from pegfinder import SpecialQuadPathSystem, corpus, count_special_quads, trace_branch
 from pegfinder.svg import render_svg
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -33,7 +33,7 @@ seed_rep = count_special_quads(spiral, 0.1, verify_square=False, nt=96, m=10)
 o = seed_rep.orbits[0]
 path = SpecialQuadPathSystem(spiral)
 z0 = np.array([o["t"], o["u1"], o["u2"], 0.1 - o["u1"] - o["u2"]])
-branch = trace_branch(path, z0, TraceSettings(max_steps=150000, step_max=5e-3))
+branch = trace_branch(path, z0)
 sizes = path.size(branch.points)
 print(f"path of special shapes: {len(branch)} samples, sizes "
       f"{sizes.min():.4f} .. {sizes.max():.4f}, termination {branch.termination}")

@@ -13,6 +13,7 @@ spec files, bad settings, violated preconditions).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -160,10 +161,9 @@ def main(argv=None) -> int:
         # unreadable input, bad settings or corpus parameters: usage errors
         print(f"pegfinder {args.cmd}: {err}", file=sys.stderr)
         return 2
-    doc = ResultDocument(command=["pegfinder", args.cmd] + argv[1:], subject={}, settings={
-        "corrector_tol": settings.corrector_tol,
-        "seed": settings.seed,
-    })
+    doc = ResultDocument(
+        command=["pegfinder", args.cmd] + argv[1:], subject={}, settings=dataclasses.asdict(settings)
+    )
     svg_text = None
     try:
         svg_text = _run(args, subject, field2, settings, doc)

@@ -111,7 +111,7 @@ def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):
     )
 
 
-def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, verify_square=True):
+def count_special_quads(source, eps, settings=None, nt=64, m=12, verify_square=True):
     """Count special quadrilaterals of a given size on the slice system.
 
     Only solutions passing the a >= b classifier are counted; a solution
@@ -120,7 +120,7 @@ def count_special_quads(source, eps, path=None, settings=None, nt=64, m=12, veri
     corollary is checked by actually finding the square.
     """
     settings = settings or TraceSettings()
-    sys = SpecialQuadSliceSystem(source, eps, path)
+    sys = SpecialQuadSliceSystem(source, eps)
     seeds = polygon_seed_grid(3, nt, m)
     seeds[:, 1:] *= eps  # both free arcs inside the size-eps window
     zeros = gauss_newton_batch(

@@ -11,7 +11,7 @@ Two sources:
 * ``ChordalField`` -- pull back chord lengths of an embedded curve.
 * ``SyntheticField`` -- 2|sin(pi(x-y))| times a trigonometric modulation in
   (x+y) and (x-y).  The |sin| factor makes d(x, x) = 0 structural; the
-  modulation is symmetrized at construction and must stay positive on a
+  modulation is symmetric in x and y and must stay positive on a
   diagnostic grid.
 """
 
@@ -100,12 +100,12 @@ class DistanceField:
         dx, dy = self.partials(V[..., i], V[..., j])
         return self.pair_dists(V, pairs), _pair_grad(dx, dy, V.shape[-1], rows, i, j)
 
-    def check_definite(self, grid: int = GRID):
+    def check_definite(self):
         """Reject fields that vanish or go negative off the diagonal."""
-        u = (np.arange(grid) + 0.5) / grid
+        u = (np.arange(GRID) + 0.5) / GRID
         X, Y = np.meshgrid(u, u, indexing="ij")
         vals = self.d(X, Y)
-        off = ~np.eye(grid, dtype=bool)
+        off = ~np.eye(GRID, dtype=bool)
         if np.min(vals[off]) <= 0.0:
             raise DomainError("distance field is not positive definite on the diagnostic grid")
         return self
@@ -139,18 +139,16 @@ class SyntheticField(DistanceField):
     """d(x, y) = 2|sin(pi(x-y))| * m(x, y) with trig-polynomial modulation.
 
     m(x, y) = c0 + sum_j ps_j cos(2 pi j (x+y)) + qs_j sin(2 pi j (x+y))
-                 + sum_j rs_j cos(2 pi j (x-y))  [+ sin(x-y) terms, which
-    symmetrization removes].
+                 + sum_j rs_j cos(2 pi j (x-y)).
+    There are no sin(2 pi j (x-y)) terms: they are odd under swapping x and
+    y, so a symmetric field has none.
     """
 
-    def __init__(self, c0=1.0, ps=(), qs=(), rs=(), ss=()):
+    def __init__(self, c0=1.0, ps=(), qs=(), rs=()):
         self.c0 = float(c0)
         self.ps = np.atleast_1d(np.asarray(ps, dtype=float))
         self.qs = np.atleast_1d(np.asarray(qs, dtype=float))
         self.rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        # sin(2 pi j (x-y)) terms are odd under swapping x and y;
-        # the (g(x,y)+g(y,x))/2 symmetrization cancels them exactly.
-        del ss
         self.check_definite()
 
     def _modulation(self, x, y):

@@ -19,8 +19,8 @@ the tracer):
 
 * P_n: z = (base, t_0, ..., t_{n-2}); the last gap is 1 minus the rest,
   so the simplex constraint is built into the chart; base on R/Z.
-* Special-quadrilateral slice: z = (t, u_1, u_2); first and last vertex
-  ride a path (y_1(t), y_4(t)), u_i are the arcs to the two free vertices.
+* Special-quadrilateral slice: z = (t, u_1, u_2); the first vertex sits at
+  t and the last at t + eps, u_i are the arcs to the two free vertices.
 * Octahedron: 18 ambient coordinates of six points, unit-norm constraints
   appended to the residual (intrinsic dimensions: 12 domain, 11 codomain).
 
@@ -384,54 +384,36 @@ class Rhombus3dSystem(PolygonSystem):
 
 
 class SpecialQuadSliceSystem(ResidualSystem):
-    """Quadrilaterals with first/last vertex on a path, (a, a, a, b, e, e) shape.
+    """Quadrilaterals of size eps with (a, a, a, b, e, e) shape.
 
-    Chart z = (t, u1, u2): x1 = y1(t), x2 = x1 + u1, x3 = x2 + u2,
-    x4 = y4(t).  Default path is (id, id + eps), so the size x4 - x1 is eps.
+    Chart z = (t, u1, u2): x1 = t, x2 = x1 + u1, x3 = x2 + u2, x4 = t + eps.
     """
 
     kind = "special_quad"
     chart_dim = 3
     codomain_dim = 3
-    circle_coords = (0,)  # the path parameter t
+    circle_coords = (0,)  # the position t of the first vertex
     tie_tol = 1e-9
     pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
     mix = _ties(5, (0, 1), (1, 2), (3, 4))
+    # dV_i / dz_m: x1 and x4 move with t, x2 and x3 with u1, x3 with u2
+    _CHART_JAC = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
 
-    def __init__(self, source, eps, path=None):
+    def __init__(self, source, eps):
         self.field = as_field(source)
         if not 0.0 < eps < 1.0:
             raise DomainError("size must lie in (0, 1)")
         self.eps = float(eps)
-        self.path = path  # None means (id, id + eps)
-
-    def _ends(self, t):
-        if self.path is None:
-            return t, t + self.eps
-        y1, y4 = self.path
-        return y1(t), y4(t)
-
-    def _ends_deriv(self, t, step=1e-7):
-        if self.path is None:
-            one = np.ones_like(np.asarray(t, dtype=float))
-            return one, one
-        y1, y4 = self.path
-        return (
-            (y1(t + step) - y1(t - step)) / (2 * step),
-            (y4(t + step) - y4(t - step)) / (2 * step),
-        )
 
     def vertex_params(self, z):
         z = np.asarray(z, dtype=float)
         t, u1, u2 = z[..., 0], z[..., 1], z[..., 2]
-        x1, x4 = self._ends(t)
-        return np.stack([x1, x1 + u1, x1 + u1 + u2, x4], axis=-1)
+        return np.stack([t, t + u1, t + u1 + u2, t + self.eps], axis=-1)
 
     def _margins(self, z):
         z = np.asarray(z, dtype=float)
         t, u1, u2 = z[..., 0], z[..., 1], z[..., 2]
-        x1, x4 = self._ends(t)
-        span = wrap(np.asarray(x4, dtype=float) - np.asarray(x1, dtype=float))
+        span = wrap((t + self.eps) - t)  # the span of the rounded vertex positions
         return np.stack([u1, u2, span - u1 - u2, 1.0 - span], axis=-1)
 
     def boundary_margins(self, z):
@@ -444,15 +426,8 @@ class SpecialQuadSliceSystem(ResidualSystem):
         return self._dists(z, self.pairs) @ self.mix.T
 
     def linearize(self, z):
-        z = np.asarray(z, dtype=float)
         L, G = self.field.pair_dists_and_grad(self.vertex_params(z), self.pairs)
-        d1, d4 = self._ends_deriv(z[..., 0])
-        chart = np.zeros(z.shape[:-1] + (4, 3))  # dV_i / dz_m
-        chart[..., :3, 0] = np.asarray(d1)[..., None]
-        chart[..., 3, 0] = d4
-        chart[..., 1:3, 1] = 1.0  # x2 and x3 move with u1
-        chart[..., 2, 2] = 1.0  # x3 moves with u2
-        return L @ self.mix.T, self.mix @ (G @ chart)
+        return L @ self.mix.T, self.mix @ (G @ self._CHART_JAC)
 
     def classify(self, z):
         """(is_special, size, a, b, near_tie) at a residual zero."""

@@ -30,6 +30,7 @@ from .residuals import (
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
 from .tracing import (
+    MEMBERSHIP_TOL,
     TraceSettings,
     branch_events,
     image_branch,
@@ -39,6 +40,8 @@ from .tracing import (
 
 FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution family
 MAX_SEED_GRID = 10**6  # seeds one polygon_seed_grid may build
+_ORBIT_TOL = 1e-5  # dedup_orbits: zeros this close in orbit distance are one orbit
+_DIAMETER_FLOOR = 1e-3  # find_planar_rhombus: a planar rhombus must be at least this wide
 
 
 # --- seed construction -------------------------------------------------------
@@ -84,12 +87,12 @@ def polygon_seed_grid(n, nx, m, symmetry_order=1):
 # --- orbit bookkeeping -------------------------------------------------------
 
 
-def dedup_orbits(system, zeros, tol=1e-5, max_merge=512):
+def dedup_orbits(system, zeros, max_merge=512):
     """Cluster converged zeros into distinct orbits; returns canonical chart
     points (k, m), sorted.
 
     Zeros are mapped to ``system.canonical`` representatives, and two are
-    one orbit when ``system.orbit_dist`` puts them within tol.  A coarse
+    one orbit when ``system.orbit_dist`` puts them within _ORBIT_TOL.  A coarse
     rounding pass shrinks the population first; the exact merge (one
     vectorized distance call per candidate) is skipped beyond max_merge
     survivors (that many apparent orbits means the zeros sample a continuous
@@ -98,13 +101,13 @@ def dedup_orbits(system, zeros, tol=1e-5, max_merge=512):
     Zc = system.canonical(zeros)
     if len(Zc) == 0:
         return Zc
-    rounded = np.round(Zc / (10 * tol)).astype(np.int64)
+    rounded = np.round(Zc / (10 * _ORBIT_TOL)).astype(np.int64)
     _, first = np.unique(rounded, axis=0, return_index=True)
     reps = Zc[np.sort(first)]
     if len(reps) <= max_merge:
         keep = []
         for k, z in enumerate(reps):
-            if np.all(system.orbit_dist(reps[keep], z) > tol):
+            if np.all(system.orbit_dist(reps[keep], z) > _ORBIT_TOL):
                 keep.append(k)
         reps = reps[keep]
     return reps[np.lexsort(np.round(reps, 9).T[::-1])]
@@ -132,14 +135,13 @@ def _iter_orbits(system, zeros, settings, max_branches):
     its orbit is that branch followed by each image from
     ``br.system.images`` whose first point is on no component yielded
     before it; images are made by ``image_branch``, not traced.  Every
-    yielded component marks the later zeros it covers (within 2 step_max)
+    yielded component marks the later zeros it covers (within MEMBERSHIP_TOL)
     with one ``near_chain`` mask.  At most max_branches components are
     yielded.
     """
     if len(zeros) == 0:
         return
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
-    membership_tol = 2.0 * settings.step_max
     covered = np.zeros(len(zeros), dtype=bool)
     found = []
     for i, z in enumerate(zeros):
@@ -154,7 +156,7 @@ def _iter_orbits(system, zeros, settings, max_branches):
             if len(found) + len(orbit) >= max_branches:
                 break
             known = found + orbit
-            if not any(near_chain(c.system, c.points, points[:1], membership_tol)[0] for c in known):
+            if not any(near_chain(c.system, c.points, points[:1], MEMBERSHIP_TOL)[0] for c in known):
                 orbit.append(image_branch(br, points))
         yield orbit
         found += orbit
@@ -162,7 +164,7 @@ def _iter_orbits(system, zeros, settings, max_branches):
             return
         for comp in orbit:
             later = i + 1 + np.flatnonzero(~covered[i + 1 :])
-            covered[later] = near_chain(system, comp.points, zeros[later], membership_tol)
+            covered[later] = near_chain(system, comp.points, zeros[later], MEMBERSHIP_TOL)
 
 
 def _best_first(branches, top):
@@ -458,7 +460,7 @@ class _PlanarRhombusSystem(ResidualSystem):
         return self.base.boundary_margins(z)
 
 
-def find_planar_rhombus(knot: ClosedCurve, settings=None, diameter_floor=1e-3):
+def find_planar_rhombus(knot: ClosedCurve, settings=None):
     """Planar rhombus on a space curve via the planarity event on an
     equal-edge branch; returns (PolygonParam, info).
 
@@ -478,18 +480,18 @@ def find_planar_rhombus(knot: ClosedCurve, settings=None, diameter_floor=1e-3):
         if np.max(flat_vals) < 1e-9:
             # planar curve (or tilted circle): the whole branch is coplanar
             for z in br.points[len(br) // 2 :]:
-                if sys.diameter(z) > diameter_floor:
+                if sys.diameter(z) > _DIAMETER_FLOOR:
                     return _rhombus_answer(sys, z, br, note="branch identically planar")
             continue
         for ev in branch_events(br, sys.coplanarity, "planarity", settings):
-            if sys.diameter(ev.z) < diameter_floor:
+            if sys.diameter(ev.z) < _DIAMETER_FLOOR:
                 continue  # the angle must be kept away from zero
             try:
                 z = refine(polish, ev.z, tol=1e-10)
                 angle = sys.planarity_angle(z)
             except ConvergenceError:
                 continue
-            if abs(angle - np.pi) < 0.1 and sys.diameter(z) > diameter_floor:
+            if abs(angle - np.pi) < 0.1 and sys.diameter(z) > _DIAMETER_FLOOR:
                 return _rhombus_answer(sys, z, br)
     raise SearchFailure(
         "no planarity event with nondegenerate diameter on any traced branch",

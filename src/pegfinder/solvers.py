@@ -24,6 +24,7 @@ from . import _threads
 from .errors import BoundaryExitError, ConvergenceError, DomainError
 
 _BLOCK_ROWS = 8192
+_MAX_STEP = 0.25  # a batched step longer than this is scaled down to it
 
 
 def refine(system, z0, tol=1e-10, max_iter=50):
@@ -81,7 +82,7 @@ def _gn_step(J, F, damping=1e-12):
     return (Jt @ w)[..., 0]
 
 
-def _gn_sweeps(system, Z, tol, max_iter, prune_after, prune_level, max_step):
+def _gn_sweeps(system, Z, tol, max_iter, prune_after, prune_level):
     """The sweep loop on one block of seeds: [(sweep, rows converged at it)]."""
     done = []
     for sweep in range(max_iter):
@@ -99,7 +100,7 @@ def _gn_sweeps(system, Z, tol, max_iter, prune_after, prune_level, max_step):
             break
         step = _gn_step(J, F)
         ns = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = np.where(ns > max_step, step * (max_step / np.maximum(ns, 1e-300)), step)
+        step = np.where(ns > _MAX_STEP, step * (_MAX_STEP / np.maximum(ns, 1e-300)), step)
         Z = Z + step
     return done
 
@@ -111,7 +112,6 @@ def gauss_newton_batch(
     max_iter=30,
     prune_after=3,
     prune_level=0.5,
-    max_step=0.25,
     margin_floor=1e-3,
 ):
     """Run Gauss-Newton on every seed, a block of rows at a time; return the converged points.
@@ -130,8 +130,7 @@ def gauss_newton_batch(
     if Z.ndim != 2 or Z.shape[1] != m:
         raise DomainError(f"seeds must be an array of shape (B, {m}), not {Z.shape}")
     sweeps = functools.partial(
-        _gn_sweeps, system, tol=tol, max_iter=max_iter, prune_after=prune_after,
-        prune_level=prune_level, max_step=max_step,
+        _gn_sweeps, system, tol=tol, max_iter=max_iter, prune_after=prune_after, prune_level=prune_level
     )
     blocks = [Z[i : i + _BLOCK_ROWS] for i in range(0, len(Z), _BLOCK_ROWS)]
     done = [part for found in _threads.parallel_map(sweeps, blocks) for part in found]

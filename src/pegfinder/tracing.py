@@ -33,31 +33,31 @@ _NEAR_BLOCK_ROWS = 2**14  # (query x sample) rows per near_chain block
 _DEFINITE = 1e-9  # |event value| below this has no sign
 
 
+# The tracer's step and tolerance policy.  STEP_INIT <= STEP_MAX: a first
+# step above the largest one is never shrunk to it and can jump between
+# sheets of the zero set (on the ellipse, n = 4, it made edge_ratio_branches
+# report two isotropy-1 loops with winding sum -2).
+STEP_INIT = 1e-3  # first predictor step of each direction
+STEP_MAX = 1e-2  # largest predictor step
+CLOSURE_TOL = 1e-6  # a trace this close to its start has closed
+BOUNDARY_FLOOR = 1e-4  # an open trace stops below this boundary margin
+MAX_STEPS = 200000  # steps per direction
+MEMBERSHIP_TOL = 2 * STEP_MAX  # a point this close to a traced chain is on its component
+_ISOTROPY_TOL = max(10.0 * CLOSURE_TOL, 0.5 * STEP_MAX)  # a relabeled probe this close is on the branch
+
+
 @dataclass
 class TraceSettings:
     corrector_tol: float = 1e-10
-    step_init: float = 1e-3
-    step_max: float = 1e-2
-    closure_tol: float = 1e-6
-    boundary_floor: float = 1e-4
-    max_steps: int = 200000
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("corrector_tol", "step_init", "step_max", "closure_tol", "boundary_floor"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if not _is_int(self.max_steps) or self.max_steps < 1:
-            raise ValueError("max_steps must be an integer of at least 1")
+        if not (np.isfinite(self.corrector_tol) and self.corrector_tol > 0):
+            raise ValueError("corrector_tol must be finite and positive")
+        if self.corrector_tol >= CLOSURE_TOL:
+            raise ValueError(f"corrector_tol must be below the closure tolerance {CLOSURE_TOL:g}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.corrector_tol >= self.closure_tol:
-            raise ValueError("corrector_tol must be below closure_tol")
-        if self.step_init > self.step_max:
-            # the first step would never shrink to step_max and could jump
-            # between sheets of the zero set
-            raise ValueError("step_init must not exceed step_max")
 
 
 def _is_int(value):
@@ -211,11 +211,11 @@ def _trace_direction(system, z0, tau0, settings):
     """March one direction; returns (samples, termination)."""
     samples = [np.array(z0)]
     z, tau = np.array(z0), np.array(tau0)
-    h = settings.step_init
+    h = STEP_INIT
     clean = 0
     start_tau = np.array(tau0)
     prev_side = 0.0
-    for _ in range(settings.max_steps):
+    for _ in range(MAX_STEPS):
         while True:
             pred = z + h * tau
             try:
@@ -228,7 +228,7 @@ def _trace_direction(system, z0, tau0, settings):
                 clean = 0
                 if h < _MIN_STEP:
                     return samples, "stalled"
-        if system.boundary_margins(w) < settings.boundary_floor:
+        if system.boundary_margins(w) < BOUNDARY_FLOOR:
             hit = _boundary_hit(system, z, w, settings)
             if hit is not None:
                 samples.append(hit)
@@ -241,16 +241,14 @@ def _trace_direction(system, z0, tau0, settings):
         d0 = system.chart_diff(w, z0)
         side = float(start_tau @ d0)
         dist0 = _chart_length(d0)
-        if len(samples) > 4 and dist0 < max(2.0 * h, settings.closure_tol):
+        if len(samples) > 4 and dist0 < max(2.0 * h, CLOSURE_TOL):
             crossed = prev_side < 0.0 <= side
-            if dist0 < settings.closure_tol:
+            if dist0 < CLOSURE_TOL:
                 samples.append(np.array(z0))
                 return samples, "closed"
             if crossed:
                 hit = _plane_hit(system, samples[-2], w, z0, start_tau, settings)
-                if hit is not None and chart_distance(system, hit, z0) < max(
-                    settings.closure_tol, 0.02 * h
-                ):
+                if hit is not None and chart_distance(system, hit, z0) < max(CLOSURE_TOL, 0.02 * h):
                     samples.append(np.array(z0))
                     return samples, "closed"
         prev_side = side if len(samples) > 3 else 0.0
@@ -261,7 +259,7 @@ def _trace_direction(system, z0, tau0, settings):
         z = w
         clean += 1
         if clean >= 5:
-            h = min(h * 1.3, settings.step_max)
+            h = min(h * 1.3, STEP_MAX)
             clean = 0
     return samples, "max_steps"
 
@@ -302,12 +300,11 @@ def _plane_hit(system, za, zb, z0, tau0, settings):
 def _boundary_hit(system, inside, outside, settings):
     """Bisect the branch between an interior and an exterior sample so the
     final recorded point sits at (roughly) the boundary floor."""
-    floor = settings.boundary_floor
 
     def inside_floor(z):
-        return not system.boundary_margins(z) < floor
+        return not system.boundary_margins(z) < BOUNDARY_FLOOR
 
-    a, _, _ = _bisect(system, inside, outside, inside_floor, 0.25 * floor, 40, settings)
+    a, _, _ = _bisect(system, inside, outside, inside_floor, 0.25 * BOUNDARY_FLOOR, 40, settings)
     return a if system.boundary_margins(a) >= 0.0 else None
 
 
@@ -342,7 +339,7 @@ def trace_branch(system, z0, settings=None):
     if closed and hasattr(system, "star_base_z"):
         branch.winding = _oriented_winding(system, points)
     if closed and system.symmetry_order > 1:
-        branch.isotropy_order = _isotropy(system, branch, settings)
+        branch.isotropy_order = _isotropy(system, branch)
     if termination.endswith("boundary"):
         branch.events.append(Event("boundary_approach", points[-1], len(points) - 1))
     if termination.startswith("boundary"):
@@ -399,18 +396,17 @@ def winding_number(branch: Branch) -> int:
     return _winding(branch.system, branch.points)
 
 
-def _isotropy(system, branch, settings):
+def _isotropy(system, branch):
     s = system.symmetry_order
-    tol = max(10.0 * settings.closure_tol, 0.5 * settings.step_max)
     probes = branch.points[:: max(1, len(branch.points) // 8)][:8]
+    images = system.images(probes)
     best = 1
     for k in range(2, s + 1):
         if s % k:
             continue
         # the order-k subgroup is generated by a shift of n / k labels, the
         # (s / k)-th of the images (shifts by multiples of n / s)
-        shifted = system.images(probes)[s // k]
-        if all(chain_distance(system, branch.points, z) < tol for z in shifted):
+        if all(chain_distance(system, branch.points, z) < _ISOTROPY_TOL for z in images[s // k]):
             best = k
     return best
 
@@ -421,7 +417,7 @@ def isotropy(branch: Branch, system=None) -> int:
     system = system or branch.system
     if not branch.closed:
         raise ConvergenceError("isotropy requires a closed branch")
-    return _isotropy(system, branch, TraceSettings())
+    return _isotropy(system, branch)
 
 
 def branch_events(branch, fn, kind, settings):

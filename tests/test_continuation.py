@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from pegfinder.solvers import gauss_newton_batch
 from pegfinder.residuals import central_difference
 from pegfinder.tracing import (
     _NEAR_BLOCK_ROWS,
+    CLOSURE_TOL,
     Branch,
     PerturbedSystem,
     _correct,
@@ -38,27 +41,19 @@ def settings():
 
 
 def test_trace_settings_validation():
+    # the tracer's step and tolerance policy is fixed; the settings hold
+    # only what a caller varies
+    assert [f.name for f in dataclasses.fields(TraceSettings)] == ["corrector_tol", "seed"]
     with pytest.raises(ValueError):
         TraceSettings(corrector_tol=-1.0)
-    with pytest.raises(ValueError):
-        TraceSettings(corrector_tol=1e-3, closure_tol=1e-6)
-    # a first step above step_max made edge_ratio_branches on the ellipse
-    # (n = 4) report two isotropy-1 loops with winding sum -2
-    with pytest.raises(ValueError, match="step_init"):
-        TraceSettings(step_init=0.5)
-    with pytest.raises(ValueError, match="step_init"):
-        TraceSettings(step_init=2e-3, step_max=1e-3)
-    TraceSettings(step_init=1e-3, step_max=1e-3)
+    with pytest.raises(ValueError, match="closure tolerance"):
+        TraceSettings(corrector_tol=1e-3)
+    with pytest.raises(ValueError, match="closure tolerance"):
+        TraceSettings(corrector_tol=CLOSURE_TOL)
+    TraceSettings(corrector_tol=0.5 * CLOSURE_TOL)
     for bad in (
         {"corrector_tol": float("nan")},
-        {"closure_tol": float("nan")},
-        {"step_max": float("inf")},
-        {"step_init": float("nan")},
-        {"boundary_floor": float("inf")},
-        {"closure_tol": float("inf")},
-        {"max_steps": 0},
-        {"max_steps": 1.5},
-        {"max_steps": True},
+        {"corrector_tol": float("inf")},
         {"seed": -1},
         {"seed": 1.0},
         {"seed": True},
@@ -152,8 +147,7 @@ def test_spiral_special_quad_path_spans_sizes(settings):
     o = rep.orbits[0]
     path = SpecialQuadPathSystem(spiral)
     z0 = np.array([o["t"], o["u1"], o["u2"], 0.1 - o["u1"] - o["u2"]])
-    st = TraceSettings(max_steps=150000, step_max=5e-3)
-    br = trace_branch(path, z0, st)
+    br = trace_branch(path, z0, settings)
     sizes = path.size(br.points)
     assert not br.closed
     assert br.termination == "boundary/boundary"

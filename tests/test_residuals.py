@@ -21,7 +21,7 @@ from pegfinder import (
     from_vertices,
     octahedron_group,
 )
-from pegfinder.circle import circle_dist
+from pegfinder.circle import circle_dist, wrap
 from pegfinder.curves import FourierCurve
 from pegfinder.residuals import OCT_EDGES, QUAD_EDGES, QUAD_PAIRS, octahedron_edge_permutation
 
@@ -421,9 +421,9 @@ def _polygon_charts(n):
     return sample
 
 
-def _slice_charts(rng):
-    u = rng.dirichlet([3, 3, 3], size=40) * 0.3
-    return np.column_stack([rng.uniform(size=40), u[:, :2]])
+def _slice_charts(rng, rows=40):
+    u = rng.dirichlet([3, 3, 3], size=rows) * 0.3
+    return np.column_stack([rng.uniform(size=rows), u[:, :2]])
 
 
 def _sphere_charts(rng, rows=40):
@@ -580,6 +580,43 @@ def test_3d_kernels_match_the_reference_formulas_bit_for_bit(trefoil):
     assert _same_bits(sys.min_separation(Z), _ref_min_separation(Z))
     assert _same_bits(sys.min_separation(Z[0]), _ref_min_separation(Z[0]))
     assert _same_bits(sys.residual(Z), _ref_octahedron_linearize(sys, Z)[0])
+
+
+def _ref_slice_vertex_params(sys, z):
+    t, u1, u2 = z[..., 0], z[..., 1], z[..., 2]
+    x1, x4 = t, t + sys.eps
+    return np.stack([x1, x1 + u1, x1 + u1 + u2, x4], axis=-1)
+
+
+def _ref_slice_linearize(sys, z):
+    """The slice Jacobian through a chart matrix built on every call, as for
+    a path (y1, y4) = (id, id + eps) with unit derivatives."""
+    L, G = sys.field.pair_dists_and_grad(_ref_slice_vertex_params(sys, z), sys.pairs)
+    one = np.ones_like(z[..., 0])
+    chart = np.zeros(z.shape[:-1] + (4, 3))
+    chart[..., :3, 0] = one[..., None]
+    chart[..., 3, 0] = one
+    chart[..., 1:3, 1] = 1.0
+    chart[..., 2, 2] = 1.0
+    return L @ sys.mix.T, sys.mix @ (G @ chart)
+
+
+def _ref_slice_margins(sys, z):
+    V = _ref_slice_vertex_params(sys, z)
+    u1, u2 = z[..., 1], z[..., 2]
+    span = wrap(V[..., 3] - V[..., 0])
+    return np.min(np.stack([u1, u2, span - u1 - u2, 1.0 - span], axis=-1), axis=-1)
+
+
+@pytest.mark.parametrize("source", ["ellipse", "field-random"])
+def test_slice_kernel_matches_the_per_call_chart_bit_for_bit(source):
+    src = corpus("ellipse", a=2, b=1) if source == "ellipse" else corpus("field-random", seed=4)
+    sys = SpecialQuadSliceSystem(src, 0.3)
+    Z = _slice_charts(np.random.default_rng(9), rows=500)
+    _assert_kernel_bits(sys, _ref_slice_linearize, Z)
+    margins = sys.boundary_margins(Z)
+    assert _same_bits(margins, _ref_slice_margins(sys, Z))
+    assert _same_bits(np.array([sys.boundary_margins(z) for z in Z[:50]]), margins[:50])
 
 
 def test_polyline_system_uses_secant_jacobian():

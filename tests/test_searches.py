@@ -39,6 +39,7 @@ from pegfinder.searches import (
 )
 from pegfinder.solvers import gauss_newton_batch, refine
 from pegfinder.tracing import (
+    MEMBERSHIP_TOL,
     Branch,
     Event,
     PerturbedSystem,
@@ -281,7 +282,7 @@ def _enumerate_branches_scalar(system, seeds, settings, max_branches):
     are added one by one unless their first sample is on a known branch."""
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
-    tol = 2.0 * settings.step_max
+    tol = MEMBERSHIP_TOL
     branches = []
     for z in zeros:
         if any(chain_distance(system, br.points, z) < tol for br in branches):
@@ -345,7 +346,7 @@ def _full_grid_branches(system, seeds, settings):
     marks the later zeros it covers."""
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
-    tol = 2.0 * settings.step_max
+    tol = MEMBERSHIP_TOL
     covered = np.zeros(len(zeros), dtype=bool)
     branches = []
     for i, z in enumerate(zeros):
@@ -368,7 +369,7 @@ def test_edge_ratio_orbits_match_the_full_grid_search(monkeypatch, n, traces):
     counts = _count_work(monkeypatch)
     got = edge_ratio_branches(_D10_SEED1, n, settings=settings)
     assert counts["traces"] <= traces < len(want) == len(got)
-    tol = 2.0 * settings.step_max
+    tol = MEMBERSHIP_TOL
     matched = []
     for g in got:
         (k,) = [k for k, w in enumerate(want) if chain_distance(sys, w.points, g.points[0]) < tol]

@@ -4,8 +4,9 @@
 
 Runs every operation of the `branch-trace` workload at seeds 0, 1 and 2 and
 every `count_squares` operation of `square-count` (see perfbench/), then
-`find_square` on the six square-count curves and
-`find_rectangle(ellipse, 2, cross_check=True)`, and prints a SHA-256 prefix
+`find_square` on the six square-count curves,
+`find_rectangle(ellipse, 2, cross_check=True)` and `count_special_quads` on
+the spiral, the ellipse and `field-sin-mod`, and prints a SHA-256 prefix
 of each output followed by the call's label.  An output is hashed exactly:
 arrays by dtype, shape and bytes, floats by their hex form, containers and
 dataclasses field by field (a branch's system by its kind).  The CLI calls
@@ -70,8 +71,9 @@ def feed(h, obj):
 
 
 def finder_calls():
-    """(label, call): find_square on the square-count curves, and the
-    rectangle finder with its branch cross-check on the ellipse."""
+    """(label, call): find_square on the square-count curves, the
+    rectangle finder with its branch cross-check on the ellipse, and the
+    special-quadrilateral count on the spiral, the ellipse and a field."""
     curves = [
         (f"fourier-random d4 seed={s}", pf.corpus("fourier-random", degree=4, amp=0.3, seed=s))
         for s in workloads.C2_COUNTED
@@ -84,6 +86,15 @@ def finder_calls():
     calls = [(f"find_square {label}", lambda c=c: pf.find_square(c)) for label, c in curves]
     ellipse = pf.corpus("ellipse", a=2, b=1)
     calls.append(("find_rectangle ellipse r=2 cross_check", lambda: pf.find_rectangle(ellipse, 2, cross_check=True)))
+    spiral = pf.corpus("spiral")
+    for eps in (0.1, 0.5):
+        calls.append((
+            f"count_special_quads spiral eps={eps}",
+            lambda eps=eps: pf.count_special_quads(spiral, eps, nt=96, m=10, verify_square=False),
+        ))
+    field = pf.corpus("field-sin-mod")
+    calls.append(("count_special_quads ellipse eps=0.3", lambda: pf.count_special_quads(ellipse, 0.3)))
+    calls.append(("count_special_quads field-sin-mod eps=0.25", lambda: pf.count_special_quads(field, 0.25)))
     return calls
 
 
