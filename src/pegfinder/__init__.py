@@ -61,6 +61,6 @@ from .searches import (
     winding_sum,
 )
 from .solvers import gauss_newton_batch, refine
-from .tracing import Branch, Event, TraceSettings, branch_events, isotropy, trace_branch, winding_number
+from .tracing import Branch, Event, TraceSettings, branch_events, branch_orbit, trace_branch, winding_number
 
 __version__ = "0.1.0"

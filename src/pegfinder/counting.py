@@ -28,7 +28,7 @@ from .searches import (
     square_orbits,
 )
 from .solvers import gauss_newton_batch, refine, smallest_singular_ratio
-from .tracing import TraceSettings, branch_events, image_branch, trace_branch
+from .tracing import TraceSettings, branch_events, branch_orbit, trace_branch
 
 
 @dataclass
@@ -168,12 +168,11 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
     per-component square parity bookkeeping.
 
     Each square orbit is traced once, from its first labeling
-    (``sq.images``) on no known component; the other labelings' components
-    are the branch's images (``rect.images``), whose squares are the refined
-    squares relabeled the same way.  Labeled squares are the bookkeeping
-    unit, compared in the chart (max-norm of ``sq.chart_diff`` below 1e-4):
-    an image whose labeling of the traced square is already on a component
-    is not added again.
+    (``sq.images``) on no known component (labeled squares are the
+    bookkeeping unit, compared in the chart: max-norm of ``sq.chart_diff``
+    below 1e-4).  The other labelings' components are the branch's distinct
+    images from ``branch_orbit``, whose squares are the refined squares
+    relabeled the same way (``rect.images``).
     Closed components are classified by isotropy order (1, 2, or 4); open
     components (branches that run into the chart boundary, which real curves
     produce) are excluded from the parity bookkeeping with a warning.
@@ -197,18 +196,16 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
         br = trace_branch(rect, z_lab, settings)
         events = branch_events(br, rect.fatness, "square_on_branch", settings)
         squares = np.array([refine(sq, ev.z, tol=1e-10) for ev in events]).reshape(-1, 4)
-        starts = sq.images(z_lab)
-        for k, (points, image_squares) in enumerate(zip(rect.images(br.points), rect.images(squares))):
-            if k and contained(starts[k]):
-                continue
-            image = image_branch(br, points) if k else br
+        relabeled = rect.images(squares)
+        for k, image in branch_orbit(br):
+            image_squares = relabeled[k]
             labeled = np.concatenate([labeled, image_squares])
             components.append(
                 {
                     "branch": image,
                     "squares": [sq.to_param(z) for z in image_squares],
                     "closed": image.closed,
-                    "isotropy": image.isotropy_order if image.closed else None,
+                    "isotropy": image.isotropy_order,
                     "square_events": len(squares),
                 }
             )

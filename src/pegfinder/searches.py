@@ -33,7 +33,7 @@ from .tracing import (
     MEMBERSHIP_TOL,
     TraceSettings,
     branch_events,
-    image_branch,
+    branch_orbit,
     near_chain,
     trace_branch,
 )
@@ -42,6 +42,7 @@ FAMILY_RANK_TOL = 1e-10  # sigma_min/sigma_max below this marks a solution famil
 MAX_SEED_GRID = 10**6  # seeds one polygon_seed_grid may build
 _ORBIT_TOL = 1e-5  # dedup_orbits: zeros this close in orbit distance are one orbit
 _DIAMETER_FLOOR = 1e-3  # find_planar_rhombus: a planar rhombus must be at least this wide
+_OCTAHEDRON_SEEDS = 40  # find_octahedra: random octahedra seeded
 
 
 # --- seed construction -------------------------------------------------------
@@ -113,10 +114,10 @@ def dedup_orbits(system, zeros, max_merge=512):
     return reps[np.lexsort(np.round(reps, 9).T[::-1])]
 
 
-def enumerate_branches(system, seeds, settings=None, max_branches=32):
+def enumerate_branches(system, seeds, settings, max_branches):
     """Every zero-set component through the converged seeds, traced once
     per symmetry orbit (see ``_iter_orbits``)."""
-    return list(_iter_branches(system, seeds, settings or TraceSettings(), max_branches))
+    return list(_iter_branches(system, seeds, settings, max_branches))
 
 
 def _iter_branches(system, seeds, settings, max_branches):
@@ -132,18 +133,20 @@ def _iter_orbits(system, zeros, settings, max_branches):
     orbit, yielding each orbit's components as soon as they are known.
 
     The zeros are visited in sorted order.  An uncovered zero is traced, and
-    its orbit is that branch followed by each image from
-    ``br.system.images`` whose first point is on no component yielded
-    before it; images are made by ``image_branch``, not traced.  Every
-    yielded component marks the later zeros it covers (within MEMBERSHIP_TOL)
-    with one ``near_chain`` mask.  At most max_branches components are
-    yielded.
+    its orbit is ``branch_orbit`` of that branch: its distinct images, made
+    by ``image_branch``, not traced.  No image is tested against earlier
+    orbits: components are disjoint or equal, and every earlier orbit was
+    yielded whole, so if an image g(B) were a known component C, B =
+    g^-1(C) was yielded already and covered the zero B was traced from.
+    Every yielded component marks the later zeros it covers (within
+    MEMBERSHIP_TOL) with one ``near_chain`` mask.  At most max_branches
+    components are yielded.
     """
     if len(zeros) == 0:
         return
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
     covered = np.zeros(len(zeros), dtype=bool)
-    found = []
+    found = 0
     for i, z in enumerate(zeros):
         if covered[i]:
             continue
@@ -151,16 +154,10 @@ def _iter_orbits(system, zeros, settings, max_branches):
             br = trace_branch(system, z, settings)
         except ConvergenceError:
             continue
-        orbit = [br]
-        for points in br.system.images(br.points)[1:]:
-            if len(found) + len(orbit) >= max_branches:
-                break
-            known = found + orbit
-            if not any(near_chain(c.system, c.points, points[:1], MEMBERSHIP_TOL)[0] for c in known):
-                orbit.append(image_branch(br, points))
+        orbit = [image for _, image in branch_orbit(br)][: max_branches - found]
         yield orbit
-        found += orbit
-        if len(found) >= max_branches:
+        found += len(orbit)
+        if found >= max_branches:
             return
         for comp in orbit:
             later = i + 1 + np.flatnonzero(~covered[i + 1 :])
@@ -525,13 +522,14 @@ def _octahedron_seed(rng):
     return verts
 
 
-def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
+def find_octahedra(sphere: EmbeddedSphere, settings=None):
     """All regular-octahedron solution circles on a scaled sphere.
 
-    Each solution circle is traced once per orbit of the 48-element label
-    symmetry group (``_iter_orbits``), and only closed circles count as
-    components.  On the z-scaled sphere the 16 circles form one orbit, so a
-    single trace finds them all.
+    The circles through _OCTAHEDRON_SEEDS random octahedra are traced once
+    per orbit of the 48-element label symmetry group (``_iter_orbits``):
+    ``branch_orbit`` gives each traced circle's distinct label images, and
+    only closed circles count as components.  On the z-scaled sphere the 16
+    circles form one orbit, so a single trace finds them all.
     """
     settings = settings or TraceSettings()
     if sphere.is_round:
@@ -543,7 +541,7 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
     sys = OctahedronSystem(sphere)
     rng = np.random.default_rng(settings.seed)
     seeds = []
-    for _ in range(n_seeds):
+    for _ in range(_OCTAHEDRON_SEEDS):
         verts = _octahedron_seed(rng)
         q = verts / sphere.scale
         q /= np.linalg.norm(q, axis=1, keepdims=True)
@@ -554,12 +552,12 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None, n_seeds=40):
     components = []
     traced = 0
     # no cap: each zero's orbit holds at most 48 components
-    for orbit in _iter_orbits(sys, zeros, settings, max_branches=48 * n_seeds):
+    for orbit in _iter_orbits(sys, zeros, settings, max_branches=48 * _OCTAHEDRON_SEEDS):
         if orbit[0].closed:
             traced += 1
             components += orbit
     if not components:
-        raise SearchFailure("no octahedron circle found from the seed population", {"seeds": n_seeds})
+        raise SearchFailure("no octahedron circle found from the seed population", {"seeds": _OCTAHEDRON_SEEDS})
     residuals = [
         float(np.max(np.linalg.norm(sys.residual(c.points), axis=-1))) for c in components
     ]

@@ -7,11 +7,12 @@ hands the J at the accepted point to the next tangent; one bisection loop
 serves closure, boundary and event location.  Events are located after the
 trace, on the branch (``branch_events``), one sign change at a time.  Chart
 differences and relabelings come from the system (``chart_diff``,
-``images``).  Loops close when the trace re-crosses the starting hyperplane
-next to the start point; open branches stop when the chart boundary margin
-drops below the floor, which the geometry legitimately produces
-(degenerating rectangles, spiral paths), so it is a termination state and
-not an error.
+``images``), and one function, ``branch_orbit``, gives a traced branch's
+distinct images and its isotropy.  Loops close when the trace re-crosses
+the starting hyperplane next to the start point; open branches stop when
+the chart boundary margin drops below the floor, which the geometry
+legitimately produces (degenerating rectangles, spiral paths), so it is a
+termination state and not an error.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ CLOSURE_TOL = 1e-6  # a trace this close to its start has closed
 BOUNDARY_FLOOR = 1e-4  # an open trace stops below this boundary margin
 MAX_STEPS = 200000  # steps per direction
 MEMBERSHIP_TOL = 2 * STEP_MAX  # a point this close to a traced chain is on its component
-_ISOTROPY_TOL = max(10.0 * CLOSURE_TOL, 0.5 * STEP_MAX)  # a relabeled probe this close is on the branch
 
 
 @dataclass
@@ -80,7 +80,7 @@ class Branch:
     termination: str
     events: list = field(default_factory=list)
     winding: int | None = None
-    isotropy_order: int | None = None
+    isotropy_order: int | None = None  # set by branch_orbit
 
     def __len__(self):
         return self.points.shape[0]
@@ -338,13 +338,38 @@ def trace_branch(system, z0, settings=None):
     branch = Branch(system=system, points=points, closed=closed, termination=termination)
     if closed and hasattr(system, "star_base_z"):
         branch.winding = _oriented_winding(system, points)
-    if closed and system.symmetry_order > 1:
-        branch.isotropy_order = _isotropy(system, branch)
     if termination.endswith("boundary"):
         branch.events.append(Event("boundary_approach", points[-1], len(points) - 1))
     if termination.startswith("boundary"):
         branch.events.append(Event("boundary_approach", points[0], 0))
     return branch
+
+
+def branch_orbit(branch):
+    """The distinct images of a traced branch under ``branch.system.images``,
+    as (index into the images, Branch) pairs: the branch itself first, the
+    others made by ``image_branch``.
+
+    Components are disjoint or equal, so one point decides: an image is
+    kept unless its first point lies within MEMBERSHIP_TOL of a member kept
+    before it, one ``near_chain`` mask per kept member.  The members are
+    then one per coset of the branch's stabilizer, so on a closed branch of
+    a system with symmetry_order > 1 every member's isotropy_order is
+    len(images) // len(orbit) (set on the branch itself too); on other
+    branches it stays None.
+    """
+    system = branch.system
+    images = system.images(branch.points)
+    keep = np.ones(len(images), dtype=bool)
+    for k in range(len(images)):
+        if keep[k]:
+            chain = branch.points if k == 0 else images[k]
+            later = k + 1 + np.flatnonzero(keep[k + 1 :])
+            keep[later] = ~near_chain(system, chain, images[later, 0], MEMBERSHIP_TOL)
+    kept = np.flatnonzero(keep)
+    if branch.closed and system.symmetry_order > 1:
+        branch.isotropy_order = len(images) // len(kept)
+    return [(0, branch)] + [(int(k), image_branch(branch, images[k])) for k in kept[1:]]
 
 
 def image_branch(branch, points):
@@ -394,30 +419,6 @@ def winding_number(branch: Branch) -> int:
     if not branch.closed:
         raise ConvergenceError("winding number requires a closed branch")
     return _winding(branch.system, branch.points)
-
-
-def _isotropy(system, branch):
-    s = system.symmetry_order
-    probes = branch.points[:: max(1, len(branch.points) // 8)][:8]
-    images = system.images(probes)
-    best = 1
-    for k in range(2, s + 1):
-        if s % k:
-            continue
-        # the order-k subgroup is generated by a shift of n / k labels, the
-        # (s / k)-th of the images (shifts by multiples of n / s)
-        if all(chain_distance(system, branch.points, z) < _ISOTROPY_TOL for z in images[s // k]):
-            best = k
-    return best
-
-
-def isotropy(branch: Branch, system=None) -> int:
-    """Largest k dividing the symmetry order whose order-k relabeling
-    (shift^(n/k)) maps the branch onto itself."""
-    system = system or branch.system
-    if not branch.closed:
-        raise ConvergenceError("isotropy requires a closed branch")
-    return _isotropy(system, branch)
 
 
 def branch_events(branch, fn, kind, settings):

@@ -13,9 +13,9 @@ from pegfinder import (
     SquareSystem,
     TraceSettings,
     branch_events,
+    branch_orbit,
     corpus,
     count_special_quads,
-    isotropy,
     refine,
     trace_branch,
     winding_number,
@@ -90,7 +90,7 @@ def test_trace_circle_rhombus_family(circle, settings):
     br = trace_branch(sys, np.array([0.0, 0.251, 0.25, 0.252]), settings)
     assert br.closed
     assert abs(br.winding) == 1
-    assert br.isotropy_order == 4
+    assert [(k, b.isotropy_order) for k, b in branch_orbit(br)] == [(0, 4)]
     assert winding_number(br) in (1, -1)
     # the circle family is entirely squares: no diagonal swap events
     assert not list(branch_events(br, sys.diagonal_gap, "diagonal_swap", settings))
@@ -99,7 +99,7 @@ def test_trace_circle_rhombus_family(circle, settings):
 def test_trace_ellipse_rhombus_events_hit_known_square(ellipse, settings):
     sys = EdgeRatioSystem(ellipse, 4)
     br = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings)
-    assert br.closed and br.isotropy_order == 4
+    assert br.closed and [(k, b.isotropy_order) for k, b in branch_orbit(br)] == [(0, 4)]
     swaps = list(branch_events(br, sys.diagonal_gap, "diagonal_swap", settings))
     assert len(swaps) == 4  # the four labelings of the single square orbit
     t1 = np.arctan(2) / (2 * np.pi)
@@ -161,7 +161,7 @@ def test_isotropy_full_on_invariant_branches(circle, ellipse, settings):
         z0 = np.concatenate([[0.02], np.full(n - 1, 1.0 / n) + 1e-3 * np.arange(n - 1)])
         br = trace_branch(sys, z0, settings)
         assert br.closed
-        assert isotropy(br) == n
+        assert [(k, b.isotropy_order) for k, b in branch_orbit(br)] == [(0, n)]
 
 
 def test_bisected_event_location_is_on_zero_set(ellipse, settings):

@@ -14,6 +14,7 @@ from pegfinder import (
     find_rectangle,
     find_square,
     find_two_metric_triangle,
+    from_vertices,
     octahedron_group,
     vertices,
 )
@@ -23,6 +24,7 @@ from pegfinder.fields import as_field
 from pegfinder.residuals import (
     EdgeRatioSystem,
     OctahedronSystem,
+    RectangleSystem,
     Rhombus3dSystem,
     SquareSystem,
     TriangleSystem,
@@ -44,6 +46,7 @@ from pegfinder.tracing import (
     Event,
     PerturbedSystem,
     branch_events,
+    branch_orbit,
     chain_distance,
     image_branch,
     near_chain,
@@ -342,8 +345,9 @@ def test_enumerate_branches_traces_what_the_scalar_loop_traced(curve, n):
 
 
 def _full_grid_branches(system, seeds, settings):
-    """Reference: every labeling seeded and traced, no images; each trace
-    marks the later zeros it covers."""
+    """Reference: every labeling seeded and traced, no images taken
+    (``branch_orbit`` gives each branch its isotropy); each trace marks the
+    later zeros it covers."""
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
     tol = MEMBERSHIP_TOL
@@ -351,8 +355,9 @@ def _full_grid_branches(system, seeds, settings):
     branches = []
     for i, z in enumerate(zeros):
         if not covered[i]:
-            branches.append(trace_branch(system, z, settings))
-            covered |= near_chain(system, branches[-1].points, zeros, tol)
+            (_, br), *_ = branch_orbit(trace_branch(system, z, settings))
+            branches.append(br)
+            covered |= near_chain(system, br.points, zeros, tol)
     return branches
 
 
@@ -393,11 +398,49 @@ def test_image_windings_match_direct_traces(n):
         assert br.closed
         for pts in sys.images(br.points)[1:]:
             image = image_branch(br, pts)
-            direct = trace_branch(sys, pts[0], settings)
+            (_, direct), *_ = branch_orbit(trace_branch(sys, pts[0], settings))
             assert image.winding == direct.winding
             assert (image.closed, image.isotropy_order) == (direct.closed, direct.isotropy_order)
             windings.add(image.winding)
     assert windings == {0, 1 if n % 2 else -1}
+
+
+def _orbit_shape(br):
+    """(image indices, isotropy orders) of ``branch_orbit(br)``."""
+    orbit = branch_orbit(br)
+    return [k for k, _ in orbit], [b.isotropy_order for _, b in orbit]
+
+
+@pytest.mark.parametrize("n, free_orbits", [(3, 2), (4, 2), (5, 1)])
+def test_branch_orbit_on_free_and_full_isotropy_branches(n, free_orbits):
+    # one full-isotropy loop, its own orbit, and free Z_n orbits of n
+    # isotropy-1 loops each
+    settings = TraceSettings()
+    sys = EdgeRatioSystem(_D10_SEED1, n)
+    seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4), sys.symmetry_order)
+    zeros = gauss_newton_batch(sys, seeds, tol=settings.corrector_tol * 0.5)
+    got = sorted(_orbit_shape(br) for br, *_ in searches._iter_orbits(sys, zeros, settings, 24))
+    assert got == [([0], [n])] + free_orbits * [(list(range(n)), n * [1])]
+
+
+def test_branch_orbit_stabilizers(ellipse, trefoil):
+    settings = TraceSettings()
+    er = EdgeRatioSystem(ellipse, 4)
+    assert _orbit_shape(trace_branch(er, np.array([0.05, 0.26, 0.24, 0.25]), settings)) == ([0], [4])
+    # the trefoil's first equal-edge loop is fixed by the half turn alone
+    rh = Rhombus3dSystem(trefoil)
+    zeros = gauss_newton_batch(rh, polygon_seed_grid(4, 10, 8), tol=settings.corrector_tol * 0.5)
+    first, *_ = next(searches._iter_orbits(rh, zeros, settings, 12))
+    assert _orbit_shape(first) == ([0, 1], [2, 2])
+    # an open branch keeps every distinct image and has no isotropy
+    rect = RectangleSystem(ellipse)
+    z0 = rect.from_param(from_vertices(ELLIPSE_SQUARE_PARAMS))
+    assert _orbit_shape(trace_branch(rect, z0, settings)) == ([0, 1, 2, 3], 4 * [None])
+    # the 16 octahedron circles: symmetry_order 1, so no isotropy either
+    comps, _ = find_octahedra(corpus("scaled-sphere", lz=0.5), settings)
+    indices, isotropies = _orbit_shape(comps[0])
+    assert indices[0] == 0 and len(set(indices)) == len(indices) == 16
+    assert isotropies == 16 * [None]
 
 
 # --- lazy, best-first finders ------------------------------------------------
