@@ -12,7 +12,7 @@ instead of four times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,17 +44,7 @@ class CountReport:
     verdicts: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "total": self.total,
-            "orbit_count": self.orbit_count,
-            "parity": self.parity,
-            "orbits": self.orbits,
-            "resolution": list(self.resolution),
-            "seed": self.seed,
-            "notes": self.notes,
-            "verdicts": self.verdicts,
-        }
+        return asdict(self)
 
 
 def count_squares(curve: ClosedCurve, settings=None, nx=150, m=24):

@@ -106,14 +106,6 @@ class ResidualSystem:
         """Batched distance to the domain boundary, shape z.shape[:-1]."""
         return np.full(np.shape(z)[:-1], np.inf)
 
-    def guard(self, z) -> bool:
-        """True while z is inside the chart's valid open domain."""
-        return bool(np.all(self.boundary_margins(z) > 0.0))
-
-    def boundary_margin(self, z) -> float:
-        """Distance to the domain boundary (smallest gap or guard margin)."""
-        return float(np.min(self.boundary_margins(z)))
-
     def numeric_jacobian(self, z, step=1e-6):
         return central_difference(self.residual, z, step)
 

@@ -114,21 +114,16 @@ def dedup_orbits(system, zeros, max_merge=512):
     return reps[np.lexsort(np.round(reps, 9).T[::-1])]
 
 
-def enumerate_branches(system, seeds, settings, max_branches):
+def enumerate_branches(system, seeds, settings):
     """Every zero-set component through the converged seeds, traced once
-    per symmetry orbit (see ``_iter_orbits``)."""
-    return list(_iter_branches(system, seeds, settings, max_branches))
-
-
-def _iter_branches(system, seeds, settings, max_branches):
-    """``enumerate_branches`` as a generator: a caller that stops early
-    traces no more."""
+    per symmetry orbit (see ``_iter_orbits``), as a generator: a caller
+    that stops early traces no more."""
     zeros = gauss_newton_batch(system, seeds, tol=settings.corrector_tol * 0.5)
-    for orbit in _iter_orbits(system, zeros, settings, max_branches):
+    for orbit in _iter_orbits(system, zeros, settings):
         yield from orbit
 
 
-def _iter_orbits(system, zeros, settings, max_branches):
+def _iter_orbits(system, zeros, settings):
     """Trace the components through the converged zeros, one per symmetry
     orbit, yielding each orbit's components as soon as they are known.
 
@@ -139,14 +134,14 @@ def _iter_orbits(system, zeros, settings, max_branches):
     yielded whole, so if an image g(B) were a known component C, B =
     g^-1(C) was yielded already and covered the zero B was traced from.
     Every yielded component marks the later zeros it covers (within
-    MEMBERSHIP_TOL) with one ``near_chain`` mask.  At most max_branches
-    components are yielded.
+    MEMBERSHIP_TOL) with one ``near_chain`` mask.  The work is bounded by
+    the zeros: at most one trace per converged zero, each trace bounded by
+    ``tracing.MAX_STEPS`` steps per direction.
     """
     if len(zeros) == 0:
         return
     zeros = zeros[np.lexsort(np.round(zeros, 8).T[::-1])]
     covered = np.zeros(len(zeros), dtype=bool)
-    found = 0
     for i, z in enumerate(zeros):
         if covered[i]:
             continue
@@ -154,11 +149,8 @@ def _iter_orbits(system, zeros, settings, max_branches):
             br = trace_branch(system, z, settings)
         except ConvergenceError:
             continue
-        orbit = [image for _, image in branch_orbit(br)][: max_branches - found]
+        orbit = [image for _, image in branch_orbit(br)]
         yield orbit
-        found += len(orbit)
-        if found >= max_branches:
-            return
         for comp in orbit:
             later = i + 1 + np.flatnonzero(~covered[i + 1 :])
             covered[later] = near_chain(system, comp.points, zeros[later], MEMBERSHIP_TOL)
@@ -228,7 +220,7 @@ def find_square(curve: ClosedCurve, settings=None):
     family = any(c < FAMILY_RANK_TOL for c in conditions) or bool(close_pairs)
 
     seeds = polygon_seed_grid(4, 10, 8)
-    branches = _iter_branches(er, seeds, settings, max_branches=12)
+    branches = enumerate_branches(er, seeds, settings)
     tried = 0
     for br in _best_first(branches, er.symmetry_order):
         tried += 1
@@ -382,7 +374,7 @@ def find_two_metric_triangle(source1, source2, settings=None):
 
     iso_events = [iso_event(k) for k in range(3)]
     seeds = polygon_seed_grid(3, 12, 8)
-    source = _iter_branches(sys, seeds, settings, max_branches=8)
+    source = enumerate_branches(sys, seeds, settings)
     branches = []
     for br in _best_first(source, sys.symmetry_order):
         branches.append(br)
@@ -468,7 +460,7 @@ def find_planar_rhombus(knot: ClosedCurve, settings=None):
     settings = settings or TraceSettings()
     sys = Rhombus3dSystem(knot)
     seeds = polygon_seed_grid(4, 10, 8)
-    branches = _iter_branches(sys, seeds, settings, max_branches=12)
+    branches = enumerate_branches(sys, seeds, settings)
     polish = _PlanarRhombusSystem(sys)
     tried = 0
     for br in _best_first(branches, sys.symmetry_order):
@@ -551,8 +543,7 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None):
     )
     components = []
     traced = 0
-    # no cap: each zero's orbit holds at most 48 components
-    for orbit in _iter_orbits(sys, zeros, settings, max_branches=48 * _OCTAHEDRON_SEEDS):
+    for orbit in _iter_orbits(sys, zeros, settings):
         if orbit[0].closed:
             traced += 1
             components += orbit
@@ -579,7 +570,7 @@ def edge_ratio_branches(curve: ClosedCurve, n, rhos=None, settings=None):
     settings = settings or TraceSettings()
     sys = EdgeRatioSystem(curve, n, rhos)
     seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4), sys.symmetry_order)
-    branches = enumerate_branches(sys, seeds, settings, max_branches=24)
+    branches = list(enumerate_branches(sys, seeds, settings))
     if n == 4 and sys.symmetry_order == 4:
         # the diagonal swaps (squares) go ahead of the boundary approaches
         for br in branches:

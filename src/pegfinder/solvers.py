@@ -55,7 +55,7 @@ def refine(system, z0, tol=1e-10, max_iter=50):
         else:
             raise ConvergenceError(f"corrector stalled at residual {r:.3e}")
         z = trial
-        if system.boundary_margin(z) < 0.0:
+        if np.min(system.boundary_margins(z)) < 0.0:
             raise BoundaryExitError("corrector left the chart interior")
         best = r
     raise ConvergenceError(f"no convergence in {max_iter} iterations (residual {best:.3e})")

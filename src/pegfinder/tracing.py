@@ -465,7 +465,7 @@ class PerturbedSystem(ResidualSystem):
     """Residual plus a boundary-decaying deterministic pseudo-random field.
 
     Breaks rank deficiency along symmetric families so the tracer can
-    proceed; the magnitude delta * boundary_margin(z) vanishes at the chart
+    proceed; the magnitude delta * boundary_margins(z) vanishes at the chart
     boundary, leaving the exact zeros of symmetric corpus curves untouched
     whenever the unperturbed trace succeeds (the wrapper is only engaged
     after a stall).  Every ``ResidualSystem`` method binds to the perturbed

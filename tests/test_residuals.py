@@ -183,7 +183,7 @@ def test_special_quad_symmetric_circle_not_special(circle):
 def test_special_quad_order_violation(circle):
     sys = SpecialQuadSliceSystem(circle, 0.1)
     z = np.array([0.0, 0.2, 0.85])  # t = 0, x2 = 0.2, x3 = 0.05: not in slice order
-    assert not sys.guard(z)
+    assert sys.boundary_margins(z) <= 0.0
 
 
 def test_special_quad_path_size(circle):
@@ -318,7 +318,7 @@ def test_octahedron_norm_invariance_under_group(rng):
         q = rng.normal(size=(6, 3))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         z = q.reshape(18)
-        if not sys.guard(z):
+        if sys.boundary_margins(z) <= 0.0:
             continue
         base_norm = np.linalg.norm(sys.residual(z))
         for sigma in octahedron_group()[::7]:
@@ -333,7 +333,7 @@ def test_octahedron_fat_diagonal_guard():
     q = _regular_octahedron()
     q[1] = q[0] + 1e-4  # two labels nearly coincide
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    assert not OctahedronSystem(sph).guard(q.reshape(18))
+    assert OctahedronSystem(sph).boundary_margins(q.reshape(18)) <= 0.0
 
 
 def test_octahedron_antiprism_closed_form():

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,7 +280,7 @@ def _eager_events(br, events, settings):
     return sorted(found, key=lambda e: e.index) + br.events
 
 
-def _enumerate_branches_scalar(system, seeds, settings, max_branches):
+def _enumerate_branches_scalar(system, seeds, settings):
     """Reference: one chain_distance call per zero and known branch.  After
     each trace, the shifts of the branch by multiples of n / symmetry order
     are added one by one unless their first sample is on a known branch."""
@@ -297,8 +298,6 @@ def _enumerate_branches_scalar(system, seeds, settings, max_branches):
         branches.append(br)
         step = system.n // br.system.symmetry_order
         for k in range(step, system.n, step):
-            if len(branches) >= max_branches:
-                break
             pts = system.shift(br.points, k)
             if any(chain_distance(system, b.points, pts[0]) < tol for b in branches):
                 continue
@@ -313,8 +312,6 @@ def _enumerate_branches_scalar(system, seeds, settings, max_branches):
             if br.winding is not None:
                 image.winding = winding_number(image) * tracing._orientation(br.system, pts)
             branches.append(image)
-        if len(branches) >= max_branches:
-            break
     return branches
 
 
@@ -333,8 +330,8 @@ def test_enumerate_branches_traces_what_the_scalar_loop_traced(curve, n):
     sys = EdgeRatioSystem(curve, n)
     seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4))
     events = {"diagonal_swap": sys.diagonal_gap} if n == 4 and sys.symmetry_order == 4 else {}
-    got = enumerate_branches(sys, seeds, settings, max_branches=24)
-    want = _enumerate_branches_scalar(sys, seeds, settings, 24)
+    got = list(enumerate_branches(sys, seeds, settings))
+    want = _enumerate_branches_scalar(sys, seeds, settings)
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
         assert np.array_equal(g.points, w.points)
@@ -394,7 +391,7 @@ def test_image_windings_match_direct_traces(n):
     seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4), sys.symmetry_order)
     zeros = gauss_newton_batch(sys, seeds, tol=settings.corrector_tol * 0.5)
     windings = set()
-    for br, *_ in searches._iter_orbits(sys, zeros, settings, 24):
+    for br, *_ in searches._iter_orbits(sys, zeros, settings):
         assert br.closed
         for pts in sys.images(br.points)[1:]:
             image = image_branch(br, pts)
@@ -419,7 +416,7 @@ def test_branch_orbit_on_free_and_full_isotropy_branches(n, free_orbits):
     sys = EdgeRatioSystem(_D10_SEED1, n)
     seeds = polygon_seed_grid(n, 12, max(8, 2 * n + 4), sys.symmetry_order)
     zeros = gauss_newton_batch(sys, seeds, tol=settings.corrector_tol * 0.5)
-    got = sorted(_orbit_shape(br) for br, *_ in searches._iter_orbits(sys, zeros, settings, 24))
+    got = sorted(_orbit_shape(br) for br, *_ in searches._iter_orbits(sys, zeros, settings))
     assert got == [([0], [n])] + free_orbits * [(list(range(n)), n * [1])]
 
 
@@ -430,7 +427,7 @@ def test_branch_orbit_stabilizers(ellipse, trefoil):
     # the trefoil's first equal-edge loop is fixed by the half turn alone
     rh = Rhombus3dSystem(trefoil)
     zeros = gauss_newton_batch(rh, polygon_seed_grid(4, 10, 8), tol=settings.corrector_tol * 0.5)
-    first, *_ = next(searches._iter_orbits(rh, zeros, settings, 12))
+    first, *_ = next(searches._iter_orbits(rh, zeros, settings))
     assert _orbit_shape(first) == ([0, 1], [2, 2])
     # an open branch keeps every distinct image and has no isotropy
     rect = RectangleSystem(ellipse)
@@ -443,13 +440,53 @@ def test_branch_orbit_stabilizers(ellipse, trefoil):
     assert isotropies == 16 * [None]
 
 
+_D10_SEED0 = corpus("fourier-random", degree=10, amp=0.6, seed=0)
+
+
+@pytest.mark.parametrize(
+    "curve, n, components",
+    [(_D10_SEED0, 3, 16), (_D10_SEED1, 4, 9)],
+    ids=["d10-seed0-3", "d10-seed1-4"],
+)
+def test_edge_ratio_components_are_whole_orbits(curve, n, components):
+    # one full-isotropy loop plus free Z_n orbits (5 of 3 loops, and 2 of
+    # 4): the list holds every image of every component, and each only once
+    branches = edge_ratio_branches(curve, n)
+    sys = branches[0].system
+
+    def probes(pts):
+        return pts[:: max(1, len(pts) // 8)]
+
+    def on(br, Q):
+        return np.all(near_chain(sys, br.points, Q, MEMBERSHIP_TOL))
+
+    assert len(branches) == components
+    for br in branches:
+        for pts in sys.images(br.points):
+            assert any(on(other, probes(pts)) for other in branches)
+    for a, b in itertools.permutations(branches, 2):
+        assert not on(b, probes(a.points))
+    assert all(n % br.isotropy_order == 0 for br in branches if br.closed)
+
+
+def test_enumerate_branches_traces_only_what_is_drawn(monkeypatch):
+    settings = TraceSettings()
+    sys = EdgeRatioSystem(_D10_SEED0, 3)
+    counts = _count_work(monkeypatch)
+    branches = enumerate_branches(sys, polygon_seed_grid(3, 12, 10, sys.symmetry_order), settings)
+    next(branches)
+    assert counts["traces"] == 1
+    # the other 15 components: one trace per free orbit of 3
+    assert len(list(branches)) == 15 and counts["traces"] == 6
+
+
 # --- lazy, best-first finders ------------------------------------------------
 
 
 def _eager_branches(system, events, settings):
     """Reference: trace every branch and bisect all its events, then sort
     the branches once."""
-    branches = enumerate_branches(system, polygon_seed_grid(4, 10, 8), settings, max_branches=12)
+    branches = list(enumerate_branches(system, polygon_seed_grid(4, 10, 8), settings))
     for br in branches:
         br.events = _eager_events(br, events, settings)
     branches.sort(key=lambda b: (not b.closed, -(b.isotropy_order or 1)))
@@ -563,7 +600,7 @@ def _find_two_metric_triangle_eager(source1, source2, settings):
         return ev
 
     events = {f"isosceles_{k}": iso_event(k) for k in range(3)}
-    branches = enumerate_branches(sys, polygon_seed_grid(3, 12, 8), settings, max_branches=8)
+    branches = list(enumerate_branches(sys, polygon_seed_grid(3, 12, 8), settings))
     hits = [
         [e for e in _eager_events(br, events, settings) if e.kind != "boundary_approach"]
         for br in branches
@@ -606,11 +643,11 @@ def test_finders_bisect_on_the_system_the_branch_was_traced_on(monkeypatch, tref
     settings = TraceSettings()
     sys = Rhombus3dSystem(trefoil)
     zeros = gauss_newton_batch(sys, polygon_seed_grid(4, 10, 8), tol=settings.corrector_tol * 0.5)
-    first = next(searches._iter_orbits(sys, zeros, settings, 12))
+    first = next(searches._iter_orbits(sys, zeros, settings))
     assert [b.isotropy_order for b in first] == [2, 2]  # the branch and its one image
     monkeypatch.setattr(searches, "trace_branch", perturbed_trace)
     # the perturbation is not equivariant, so a perturbed branch has no images
-    first = next(searches._iter_orbits(sys, zeros, settings, 12))
+    first = next(searches._iter_orbits(sys, zeros, settings))
     assert len(first) == 1 and isinstance(first[0].system, PerturbedSystem)
     _assert_same_answer(find_square(ellipse, settings), _find_square_eager(ellipse, settings))
     _assert_same_answer(
@@ -646,8 +683,8 @@ def test_finders_trace_and_bisect_only_what_the_answer_needs(monkeypatch, trefoi
 
 
 def test_planar_rhombus_failure_reports_every_traced_branch(monkeypatch, trefoil):
-    branches = enumerate_branches(
-        Rhombus3dSystem(trefoil), polygon_seed_grid(4, 10, 8), TraceSettings(), max_branches=12
+    branches = list(
+        enumerate_branches(Rhombus3dSystem(trefoil), polygon_seed_grid(4, 10, 8), TraceSettings())
     )
     counts = _count_work(monkeypatch)
 

@@ -5,8 +5,9 @@
 Runs every operation of the `branch-trace` workload at seeds 0, 1 and 2 and
 every `count_squares` operation of `square-count` (see perfbench/), then
 `find_square` on the six square-count curves,
-`find_rectangle(ellipse, 2, cross_check=True)` and `count_special_quads` on
-the spiral, the ellipse and `field-sin-mod`, and prints a SHA-256 prefix
+`find_rectangle(ellipse, 2, cross_check=True)`, `count_special_quads` on
+the spiral, the ellipse and `field-sin-mod`, and `edge_ratio_branches` on
+curves with free symmetry orbits, and prints a SHA-256 prefix
 of each output followed by the call's label.  An output is hashed exactly:
 arrays by dtype, shape and bytes, floats by their hex form, containers and
 dataclasses field by field (a branch's system by its kind).  The CLI calls
@@ -72,8 +73,10 @@ def feed(h, obj):
 
 def finder_calls():
     """(label, call): find_square on the square-count curves, the
-    rectangle finder with its branch cross-check on the ellipse, and the
-    special-quadrilateral count on the spiral, the ellipse and a field."""
+    rectangle finder with its branch cross-check on the ellipse, the
+    special-quadrilateral count on the spiral, the ellipse and a field, and
+    the edge-ratio components of two curves with free orbits (one
+    full-isotropy loop plus free Z_n orbits of loops, listed by images)."""
     curves = [
         (f"fourier-random d4 seed={s}", pf.corpus("fourier-random", degree=4, amp=0.3, seed=s))
         for s in workloads.C2_COUNTED
@@ -95,6 +98,12 @@ def finder_calls():
     field = pf.corpus("field-sin-mod")
     calls.append(("count_special_quads ellipse eps=0.3", lambda: pf.count_special_quads(ellipse, 0.3)))
     calls.append(("count_special_quads field-sin-mod eps=0.25", lambda: pf.count_special_quads(field, 0.25)))
+    for seed, n in ((0, 3), (1, 4), (1, 5)):
+        curve = pf.corpus("fourier-random", degree=10, amp=0.6, seed=seed)
+        calls.append((
+            f"edge_ratio_branches d10 seed={seed} n={n}",
+            lambda c=curve, n=n: pf.edge_ratio_branches(c, n),
+        ))
     return calls
 
 
