@@ -3,7 +3,8 @@
 Subcommands: find-square, find-rect, find-ngon, count-special, triangle,
 knot-rhombus, octahedra, corpus-list.  Common flags: --curve FILE or
 --corpus NAME (plus corpus parameters like --a/--b/--degree), --seed,
---tol, --json OUT, --svg OUT.
+--tol, --json OUT, --svg OUT.  triangle takes --tol only with --field2:
+the one-field triangle search reads no tolerance.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics in the JSON
 document when requested), 2 usage error (bad flags, unreadable or invalid
@@ -46,7 +47,8 @@ def _common(parser):
     parser.add_argument("--curve", help="curve/field spec file (JSON)")
     parser.add_argument("--corpus", help="corpus entry name (see corpus-list)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-10, help="corrector tolerance")
+    default_tol = TraceSettings.corrector_tol
+    parser.add_argument("--tol", type=float, help=f"corrector tolerance (default {default_tol:g})")
     parser.add_argument("--json", dest="json_out", metavar="OUT.json")
     parser.add_argument("--svg", dest="svg_out", metavar="OUT.svg")
 
@@ -152,7 +154,10 @@ def main(argv=None) -> int:
         ap.error(f"unrecognized arguments: {' '.join(extras)}")
     t0 = time.time()
     try:
-        settings = TraceSettings(corrector_tol=args.tol, seed=args.seed)
+        if args.cmd == "triangle" and args.tol is not None and not args.field2:
+            raise DomainError("--tol needs --field2: the one-field triangle search reads no tolerance")
+        tol = TraceSettings.corrector_tol if args.tol is None else args.tol
+        settings = TraceSettings(corrector_tol=tol, seed=args.seed)
         subject = _load_subject(args, params)
         field2 = field_from_spec(_read_spec(args.field2)) if getattr(args, "field2", None) else None
         if getattr(args, "ratios", None):

@@ -31,6 +31,8 @@ from .solvers import refine
 _RANK_TOL = 1e-8
 _MIN_STEP = 1e-9
 _NEAR_BLOCK_ROWS = 2**14  # (query x sample) rows per near_chain block
+_WRAP_JUMP2 = 0.25  # a chain segment this long (squared) is a wrap, not a step
+_REACH_SLACK = 1e-9  # absorbs the rounding of near_chain's reach bound
 _DEFINITE = 1e-9  # |event value| below this has no sign
 
 
@@ -107,7 +109,7 @@ def _segment_dists(rel):
     a, b = rel[..., :-1, :], rel[..., 1:, :]
     seg = b - a
     seg_len2 = np.sum(seg * seg, axis=-1)
-    valid = seg_len2 < 0.25  # a long jump means the chain wrapped, skip it
+    valid = seg_len2 < _WRAP_JUMP2
     t = -np.sum(a * seg, axis=-1) / np.maximum(seg_len2, 1e-300)
     t = np.clip(t, 0.0, 1.0)
     proj = a + t[..., None] * seg
@@ -126,19 +128,37 @@ def chain_distance(system, chain, q):
 
 def near_chain(system, chain, Q, tol):
     """Mask of the points Q (B, d) with ``chain_distance(system, chain, q) <
-    tol``, decided with the same arithmetic.  A point within tol of a sample
-    skips the segment projection; the work runs in blocks of at most
-    _NEAR_BLOCK_ROWS (query x sample) rows."""
+    tol``, decided with the same arithmetic.
+
+    A point within tol of a sample is near.  Every point of a segment lies
+    within half the segment's length of one of its ends, so a point whose
+    nearest sample is at least ``reach = tol + longest / 2 + _REACH_SLACK``
+    away is within tol of no segment, and is not near; ``longest`` is the
+    longest chain segment that ``_segment_dists`` does not skip as a wrap
+    (the slack covers the rounding, there and in the reach).  Only the
+    points in between are projected, by the same ``_segment_dists`` as
+    ``chain_distance``, so every decision is the one the full projection
+    makes.  The work runs in blocks of at most _NEAR_BLOCK_ROWS (query x
+    sample) rows.
+    """
     Q = np.asarray(Q, dtype=float)
     S = chain.shape[0]
     near = np.zeros(len(Q), dtype=bool)
+    seg = system.chart_diff(chain[1:], chain[:-1])
+    seg_len2 = np.sum(seg * seg, axis=-1)
+    longest2 = seg_len2[seg_len2 < _WRAP_JUMP2 + _REACH_SLACK].max(initial=0.0)
+    reach = tol + 0.5 * math.sqrt(longest2) + _REACH_SLACK
     step = max(1, _NEAR_BLOCK_ROWS // S)
     for start in range(0, len(Q), step):
         block = Q[start : start + step]
         rel = system.chart_diff(chain[None], block[:, None])
-        hit = np.any(np.linalg.norm(rel, axis=-1) < tol, axis=-1)
-        rest = ~hit
-        hit[rest] = np.any(_segment_dists(rel[rest]) < tol, axis=-1)
+        # fmin skips NaN, so nearest < tol is any(sample distance < tol);
+        # an all-NaN row is projected, as before
+        nearest = np.fmin.reduce(np.linalg.norm(rel, axis=-1), axis=-1)
+        hit = nearest < tol
+        left = np.flatnonzero(~hit & ~(nearest >= reach))
+        if left.size:
+            hit[left] = np.any(_segment_dists(rel[left]) < tol, axis=-1)
         near[start : start + step] = hit
     return near
 

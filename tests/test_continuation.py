@@ -335,12 +335,50 @@ def test_near_chain_is_the_scalar_chain_distance_test(ellipse, settings, rng):
     _near_chain_matches_reference(sys, chain[:1], Q, 0.05)
 
 
-def test_near_chain_on_an_octahedron_component():
-    # octahedron charts have no circle coordinates
-    from pegfinder import find_octahedra
+def test_near_chain_decides_the_band_below_its_reach(ellipse, settings, rng):
+    # a coarse chain, its longest segment 10 tol: a point whose nearest
+    # sample lies in [tol, tol + longest / 2) can still be within tol of a
+    # segment, so near_chain must project it
+    sys = EdgeRatioSystem(ellipse, 4)
+    chain = trace_branch(sys, np.array([0.07, 0.24, 0.26, 0.25]), settings).points[::8]
+    seg = sys.chart_diff(chain[1:], chain[:-1])
+    seg_len = np.linalg.norm(seg, axis=-1)
+    tol = 0.1 * seg_len.max()
+    reach = tol + 0.5 * seg_len.max()
+    # anywhere along the segments longer than 2 tol, up to 2 tol across
+    # them, with the base shifted by +-1 on half of them; kept in the band
+    i = int(np.argmax(seg_len))
+    k = np.concatenate([[i], rng.choice(np.flatnonzero(seg_len > 2 * tol), 800)])
+    across = rng.normal(size=(len(k), 4))
+    across -= np.sum(across * seg[k], axis=-1, keepdims=True) / seg_len[k, None] ** 2 * seg[k]
+    across /= np.linalg.norm(across, axis=-1, keepdims=True)
+    along, off = rng.uniform(0.0, 1.0, size=(2, len(k), 1))
+    Q = chain[k] + along * seg[k] + 2 * tol * off * across
+    Q[::2, 0] += rng.choice([-1.0, 1.0], size=len(Q[::2]))
+    nearest = np.linalg.norm(sys.chart_diff(chain[None], Q[:, None]), axis=-1).min(axis=1)
+    Q = Q[(nearest >= tol) & (nearest < reach)]
+    near = _near_chain_matches_reference(sys, chain, Q, tol)
+    assert len(Q) > 400 and 100 < near.sum() < len(Q) - 100
+    # the band's top: just off the midpoint of the longest segment
+    top = chain[i] + 0.5 * seg[i] + 1e-3 * tol * across[:1]
+    assert 0.5 * seg_len[i] < np.linalg.norm(sys.chart_diff(chain, top[0]), axis=-1).min() < reach
+    assert _near_chain_matches_reference(sys, chain, top, tol).all()
 
+
+def test_near_chain_on_an_octahedron_component(monkeypatch):
+    # octahedron charts have no circle coordinates; every query of
+    # find_octahedra is decided by its nearest sample, so no row is
+    # projected onto the segments
+    from pegfinder import find_octahedra, tracing
+
+    rows = []
+    projection = tracing._segment_dists
+    monkeypatch.setattr(tracing, "_segment_dists", lambda rel: rows.append(len(rel)) or projection(rel))
     comps, _ = find_octahedra(corpus("scaled-sphere", lz=0.5))
+    assert len(comps) == 16 and rows == []
     chain = comps[0].points
     Q = np.concatenate([chain[::40] + 1e-3, comps[1].points[::40]])
+    near_chain(comps[0].system, chain, Q, 0.02)
+    assert rows == []
     near = _near_chain_matches_reference(comps[0].system, chain, Q, 0.02)
     assert near.any() and not near.all()

@@ -129,6 +129,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--corpus", "field-random"],
         ["find-square", "--corpus", "scaled-sphere"],
         ["triangle", "--corpus", "scaled-sphere"],
+        # the one-field triangle search reads no tolerance, so an explicit
+        # --tol (even the default value) is refused without --field2
+        ["triangle", "--corpus", "field-random", "--tol", "1e-10"],
         # degenerate curves are rejected when they are built
         ["find-square", "--corpus", "ellipse", "--a", "0", "--b", "0"],
         ["find-square", "--corpus", "ellipse", "--a", "1", "--b", "0"],
@@ -145,6 +148,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"pegfinder {argv[0]}: ") and err.count("\n") == 1, err
+    # without --tol the triangle runs, and its document records the default
+    assert main(["triangle", "--corpus", "field-random", "--seed", "11", "--json", "tri.json"]) == 0
+    settings = json.loads((tmp_path / "tri.json").read_text())["settings"]
+    assert settings == {"corrector_tol": 1e-10, "seed": 11}
     # numerical failure exits 1 with diagnostics in the JSON
     code = main(["octahedra", "--lambda-z", "1.0", "--json", "oct.json"])
     assert code == 1

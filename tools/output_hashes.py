@@ -6,14 +6,17 @@ Runs every operation of the `branch-trace` workload at seeds 0, 1 and 2 and
 every `count_squares` operation of `square-count` (see perfbench/), then
 `find_square` on the six square-count curves,
 `find_rectangle(ellipse, 2, cross_check=True)`, `count_special_quads` on
-the spiral, the ellipse and `field-sin-mod`, and `edge_ratio_branches` on
-curves with free symmetry orbits, and prints a SHA-256 prefix
-of each output followed by the call's label.  An output is hashed exactly:
-arrays by dtype, shape and bytes, floats by their hex form, containers and
-dataclasses field by field (a branch's system by its kind).  The CLI calls
-are hashed by their exit code and the files they write, with
-``wall_time_ms`` zeroed.  Run it on two checkouts and diff the outputs: a
-change that claims bit-identical results prints the same lines.
+the spiral, the ellipse and `field-sin-mod`, `edge_ratio_branches` on
+curves with free symmetry orbits, `find_octahedra` at lz = 0.5 with
+settings seeds 1 and 2 and on a sphere scaled on two axes, and
+`find_two_metric_triangle` on the circle and `field-sin-mod` (these pin
+the component-membership decisions of `tracing.near_chain`), and prints a
+SHA-256 prefix of each output followed by the call's label.  An output is
+hashed exactly: arrays by dtype, shape and bytes, floats by their hex
+form, containers and dataclasses field by field (a branch's system by its
+kind).  The CLI calls are hashed by their exit code and the files they
+write, with ``wall_time_ms`` zeroed.  Run it on two checkouts and diff the
+outputs: a change that claims bit-identical results prints the same lines.
 """
 
 from __future__ import annotations
@@ -74,9 +77,11 @@ def feed(h, obj):
 def finder_calls():
     """(label, call): find_square on the square-count curves, the
     rectangle finder with its branch cross-check on the ellipse, the
-    special-quadrilateral count on the spiral, the ellipse and a field, and
-    the edge-ratio components of two curves with free orbits (one
-    full-isotropy loop plus free Z_n orbits of loops, listed by images)."""
+    special-quadrilateral count on the spiral, the ellipse and a field, the
+    edge-ratio components of two curves with free orbits (one
+    full-isotropy loop plus free Z_n orbits of loops, listed by images),
+    the octahedron circles from two more seed populations and on a second
+    sphere, and the two-metric triangle."""
     curves = [
         (f"fourier-random d4 seed={s}", pf.corpus("fourier-random", degree=4, amp=0.3, seed=s))
         for s in workloads.C2_COUNTED
@@ -104,6 +109,18 @@ def finder_calls():
             f"edge_ratio_branches d10 seed={seed} n={n}",
             lambda c=curve, n=n: pf.edge_ratio_branches(c, n),
         ))
+    sphere = pf.corpus("scaled-sphere", lz=0.5)
+    for seed in (1, 2):
+        calls.append((
+            f"find_octahedra lz=0.5 seed={seed}",
+            lambda seed=seed: pf.find_octahedra(sphere, pf.TraceSettings(seed=seed)),
+        ))
+    calls.append((
+        "find_octahedra lx=1.2 lz=0.6",
+        lambda: pf.find_octahedra(pf.corpus("scaled-sphere", lx=1.2, lz=0.6)),
+    ))
+    circle = pf.corpus("circle")
+    calls.append(("find_two_metric_triangle circle field-sin-mod", lambda: pf.find_two_metric_triangle(circle, field)))
     return calls
 
 
