@@ -90,10 +90,14 @@ class FourierCurve(ClosedCurve):
         return (np.cos(ang) * self._w) @ self.sin_coeffs.T - (np.sin(ang) * self._w) @ self.cos_coeffs.T
 
     def eval_and_deriv(self, t):
+        # two (..., K) arrays: the sines overwrite the angles, and the
+        # velocity's frequency scaling is done in place after the positions
         ang = self._angles(t)
-        c, s = np.cos(ang), np.sin(ang)
+        c, s = np.cos(ang), np.sin(ang, out=ang)
         pos = self.const + c @ self.cos_coeffs.T + s @ self.sin_coeffs.T
-        vel = (c * self._w) @ self.sin_coeffs.T - (s * self._w) @ self.cos_coeffs.T
+        c *= self._w
+        s *= self._w
+        vel = c @ self.sin_coeffs.T - s @ self.cos_coeffs.T
         return pos, vel
 
     def spec(self):

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.linalg import helmert
 
 from .circle import circle_dist, signed_gap, wrap
 from .curves import EmbeddedSphere
@@ -481,7 +480,11 @@ _OCT_ROWS = np.arange(len(OCT_EDGES))
 _OCT_I, _OCT_J = (np.array(a) for a in zip(*OCT_EDGES))
 _OCT_PAIRS = np.triu_indices(6, k=1)  # every vertex pair, for the separation
 _SIX = np.arange(6)
-_HELMERT11 = helmert(12)
+# the 11 orthonormal contrasts of the 12 edge lengths, with the arithmetic of
+# scipy.linalg.helmert(12) and so its bytes: row r is r ones, then -r, over
+# sqrt(r (r + 1))
+_HELMERT11 = (np.tril(np.ones((12, 12)), -1) - np.diag(np.arange(12)))[1:]
+_HELMERT11 /= np.sqrt(np.arange(1, 12) * np.arange(2, 13))[:, None]
 _HELMERT11.setflags(write=False)
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ def test_fourier_derivative_matches_central_differences(name, params, rng):
     an = cu.deriv(t)
     rel = np.max(np.abs(an - fd)) / np.max(np.abs(fd))
     assert rel < 1e-6
+
+
+def test_fourier_kernel_keeps_two_block_arrays():
+    # eval_and_deriv on a Gauss-Newton-sized block holds two (B, n, K) trig
+    # arrays (the sines overwrite the angles and the frequency scaling is in
+    # place), leaves t as it was and gives the bits of eval and deriv
+    cu = corpus("fourier-random", degree=10, amp=0.6, seed=1)
+    t = np.random.default_rng(5).uniform(size=(8192, 4))
+    t_before = t.copy()
+    pos, vel = cu.eval_and_deriv(t)  # warm-up: no first-call allocation counts
+    tracemalloc.start()
+    try:
+        pos, vel = cu.eval_and_deriv(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * t.size * cu.degree * t.itemsize
+    assert np.array_equal(t, t_before)
+    assert np.array_equal(pos, cu.eval(t)) and np.array_equal(vel, cu.deriv(t))
 
 
 def test_polyline_constant_speed():

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +88,25 @@ def test_golden_documents(tmp_path, monkeypatch, capsys, argv, golden_json, gold
     if golden_svg:
         svg = (tmp_path / argv[argv.index("--svg") + 1]).read_text()
         assert svg == (GOLDEN / golden_svg).read_text()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # the package and its CLI import, and the golden find-square runs
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import pegfinder, pegfinder.cli\n"
+        "sys.exit(pegfinder.cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["find-square", "--corpus", "ellipse", "--a", "2", "--b", "1", "--json", "fs.json", "--svg", "fs.svg"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    produced = (tmp_path / "fs.json").read_text()
+    assert _strip_wall_time(produced) == _strip_wall_time((GOLDEN / "find_square_ellipse.json").read_text())
+    assert (tmp_path / "fs.svg").read_text() == (GOLDEN / "find_square_ellipse.svg").read_text()
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):

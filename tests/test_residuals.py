@@ -582,6 +582,17 @@ def test_3d_kernels_match_the_reference_formulas_bit_for_bit(trefoil):
     assert _same_bits(sys.residual(Z), _ref_octahedron_linearize(sys, Z)[0])
 
 
+def test_octahedron_helmert_matrix_is_scipys():
+    # residuals builds the octahedron's edge contrasts with numpy alone;
+    # the reference kernel above takes them from scipy
+    from scipy.linalg import helmert
+
+    from pegfinder.residuals import _HELMERT11
+
+    assert _HELMERT11.tobytes() == helmert(12).tobytes() and _HELMERT11.shape == (11, 12)
+    assert not _HELMERT11.flags.writeable
+
+
 def _ref_slice_vertex_params(sys, z):
     t, u1, u2 = z[..., 0], z[..., 1], z[..., 2]
     x1, x4 = t, t + sys.eps
