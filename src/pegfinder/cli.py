@@ -106,15 +106,15 @@ def _corpus_params(extras):
 def _read_spec(path):
     with open(path) as fh:
         spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise DomainError(f"{path}: a spec must be a JSON object")
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise DomainError(f"{path}: a spec must be a JSON object with a string \"kind\"")
     return spec
 
 
 def _load_subject(args, params):
     if args.curve:
         spec = _read_spec(args.curve)
-        if spec.get("kind", "").endswith("field") or spec.get("kind") in ("chordal", "synthetic-field"):
+        if spec["kind"].endswith("field") or spec["kind"] == "chordal":
             return field_from_spec(spec)
         return curve_from_spec(spec)
     if args.corpus:

@@ -28,18 +28,22 @@ _PROBE_BLOCK = 2**14  # (probe x vertex) pairs per block of _encloses_area
 
 
 class ClosedCurve:
-    """Common interface: eval(t) -> points, deriv(t) -> velocity vectors."""
+    """Common interface: eval_and_deriv(t) -> (points, velocity vectors).
+
+    ``eval_and_deriv`` is the one kernel a curve writes; ``eval`` and
+    ``deriv`` are its two parts.
+    """
 
     ambient_dim: int
 
-    def eval(self, t):
+    def eval_and_deriv(self, t):
         raise NotImplementedError
+
+    def eval(self, t):
+        return self.eval_and_deriv(t)[0]
 
     def deriv(self, t):
-        raise NotImplementedError
-
-    def eval_and_deriv(self, t):
-        return self.eval(t), self.deriv(t)
+        return self.eval_and_deriv(t)[1]
 
     def spec(self) -> dict:
         """JSON-serializable description (see curve_spec schema)."""
@@ -47,7 +51,10 @@ class ClosedCurve:
 
 
 class FourierCurve(ClosedCurve):
-    """gamma_j(t) = const_j + sum_k cos_jk cos(2 pi k t) + sin_jk sin(2 pi k t)."""
+    """gamma_j(t) = const_j + sum_k cos_jk cos(2 pi k t) + sin_jk sin(2 pi k t).
+
+    One trig kernel, ``eval_and_deriv``: ``eval`` and ``deriv`` are its parts.
+    """
 
     def __init__(self, const, cos_coeffs, sin_coeffs):
         const = np.atleast_1d(np.asarray(const, dtype=float))
@@ -74,25 +81,10 @@ class FourierCurve(ClosedCurve):
             # polygons degenerates and the finders would chase it
             raise DomainError("the curve's velocity vanishes on the diagnostic grid")
 
-    def _angles(self, t):
-        return _TWO_PI * np.asarray(t, dtype=float)[..., None] * self._k  # (..., K)
-
-    def eval(self, t):
-        ang = self._angles(t)
-        return (
-            self.const
-            + np.cos(ang) @ self.cos_coeffs.T
-            + np.sin(ang) @ self.sin_coeffs.T
-        )
-
-    def deriv(self, t):
-        ang = self._angles(t)
-        return (np.cos(ang) * self._w) @ self.sin_coeffs.T - (np.sin(ang) * self._w) @ self.cos_coeffs.T
-
     def eval_and_deriv(self, t):
         # two (..., K) arrays: the sines overwrite the angles, and the
         # velocity's frequency scaling is done in place after the positions
-        ang = self._angles(t)
+        ang = _TWO_PI * np.asarray(t, dtype=float)[..., None] * self._k  # (..., K)
         c, s = np.cos(ang), np.sin(ang, out=ang)
         pos = self.const + c @ self.cos_coeffs.T + s @ self.sin_coeffs.T
         c *= self._w
@@ -139,15 +131,16 @@ class PolylineCurve(ClosedCurve):
             a.setflags(write=False)
 
     def eval(self, t):
+        # the positions alone: the velocities are secants of them
         t = np.asarray(t, dtype=float)
         s = wrap(t) * self.length
         i = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self._seglen) - 1)
         lam = (s - self._cum[i]) / self._seglen[i]
         return self.vertices[i] + lam[..., None] * self._seg[i]
 
-    def deriv(self, t):
+    def eval_and_deriv(self, t):
         t = np.asarray(t, dtype=float)
-        return (self.eval(t + SECANT_STEP) - self.eval(t - SECANT_STEP)) / (2.0 * SECANT_STEP)
+        return self.eval(t), (self.eval(t + SECANT_STEP) - self.eval(t - SECANT_STEP)) / (2.0 * SECANT_STEP)
 
     def spec(self):
         return {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import ClosedCurve
+from .curves import ClosedCurve, chord
 from .errors import DomainError
 
 GRID = 200  # diagnostic grid resolution for symmetry/definiteness checks
@@ -116,8 +116,7 @@ class ChordalField(DistanceField):
         self.curve = curve
 
     def d(self, x, y):
-        diff = self.curve.eval(np.asarray(x, dtype=float)) - self.curve.eval(np.asarray(y, dtype=float))
-        return np.linalg.norm(diff, axis=-1)
+        return chord(self.curve, x, y)
 
     def pair_dists(self, V, pairs):
         """Chord lengths, evaluating each vertex once."""

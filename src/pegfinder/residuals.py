@@ -3,11 +3,12 @@
 Each polygon family is a mix of pairwise distances: a system declares the
 vertex ``pairs`` it measures and a ``mix`` matrix, and its residual is
 ``mix @ d(pairs)`` for the distance field of its source (a curve's chordal
-field or any ``DistanceField``, see ``fields.as_field``).  Every system
-supplies ``residual(z)`` and ``linearize(z) -> (F, J)``, the residual and
-its Jacobian from one pass (``jacobian`` is its J); ``PolygonSystem``
-implements both once, and the parallelogram (midpoints are not distances),
-the special-quadrilateral slice and the octahedron keep their own.
+field or any ``DistanceField``, see ``fields.as_field``).  A system writes
+one kernel, ``linearize(z) -> (F, J)``: the residual and its Jacobian from
+one pass.  ``residual`` and ``jacobian`` are its two parts.
+``PolygonSystem`` writes it once for every mix of distances, and the
+parallelogram (midpoints are not distances), the special-quadrilateral
+slice and the octahedron write their own.
 
 Every system owns its chart: ``chart_dim`` and ``codomain_dim`` are the
 lengths of z and of the residual, ``circle_coords`` the entries of z on
@@ -91,12 +92,14 @@ class ResidualSystem:
         group, stacked on a new leading axis, identity first."""
         return np.asarray(Z, dtype=float)[None]
 
-    def residual(self, z):
+    def linearize(self, z):
+        """(F, J): the residual at z and its Jacobian, from one pass.  The
+        one kernel a system writes; ``residual`` and ``jacobian`` are its
+        parts."""
         raise NotImplementedError
 
-    def linearize(self, z):
-        """(residual(z), Jacobian at z), computed together."""
-        raise NotImplementedError
+    def residual(self, z):
+        return self.linearize(z)[0]
 
     def jacobian(self, z):
         return self.linearize(z)[1]
@@ -211,9 +214,6 @@ class PolygonSystem(ResidualSystem):
         """Field distances between the vertex pairs at chart points z."""
         return self.field.pair_dists(self.vertex_params(z), pairs)
 
-    def residual(self, z):
-        return self.dists(z, self.pairs) @ self.mix.T
-
     def linearize(self, z):
         """Residual and Jacobian from one pass over the pair distances."""
         L, G = self.field.pair_dists_and_grad(self.vertex_params(z), self.pairs)
@@ -302,9 +302,6 @@ class ParallelogramSystem(PolygonSystem):
             raise DomainError("aspect ratio must be finite and positive")
         super().__init__(curve, 4)
         self.r = float(r)
-
-    def residual(self, z):
-        return self.linearize(z)[0]
 
     def linearize(self, z):
         V = self.vertex_params(z)
@@ -412,9 +409,6 @@ class SpecialQuadSliceSystem(ResidualSystem):
 
     def _dists(self, z, pairs):
         return self.field.pair_dists(self.vertex_params(z), pairs)
-
-    def residual(self, z):
-        return self._dists(z, self.pairs) @ self.mix.T
 
     def linearize(self, z):
         L, G = self.field.pair_dists_and_grad(self.vertex_params(z), self.pairs)
@@ -526,10 +520,6 @@ class OctahedronSystem(ResidualSystem):
     def edge_lengths(self, z):
         p = self.points(z) * self.sphere.scale
         return _coord_norm(p[..., _OCT_I, :] - p[..., _OCT_J, :])
-
-    def residual(self, z):
-        q = self.points(z)
-        return np.concatenate([self.edge_lengths(z) @ _HELMERT11.T, 0.5 * (_coord_sum(q * q) - 1.0)], axis=-1)
 
     def linearize(self, z):
         z = np.asarray(z, dtype=float)

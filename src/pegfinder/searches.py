@@ -433,11 +433,6 @@ class _PlanarRhombusSystem(ResidualSystem):
     def __init__(self, base: Rhombus3dSystem):
         self.base = base
 
-    def residual(self, z):
-        z = np.asarray(z, dtype=float)
-        flat = self.base.coplanarity(z)
-        return np.concatenate([self.base.residual(z), np.asarray(flat)[..., None]], axis=-1)
-
     def linearize(self, z):
         z = np.asarray(z, dtype=float)
         F, J = self.base.linearize(z)

@@ -25,19 +25,18 @@ from .errors import BoundaryExitError, ConvergenceError, DomainError
 
 _BLOCK_ROWS = 8192
 _MAX_STEP = 0.25  # a batched step longer than this is scaled down to it
+_REFINE_ITERS = 50  # Gauss-Newton sweeps of refine before it gives up
 
 
-def refine(system, z0, tol=1e-10, max_iter=50):
+def refine(system, z0, tol=1e-10):
     """Drive the residual below tol from z0; returns the corrected point.
 
-    Raises ConvergenceError after max_iter sweeps, BoundaryExitError if the
-    iterate leaves the chart interior (negative boundary margin).
+    Raises ConvergenceError after _REFINE_ITERS sweeps, BoundaryExitError if
+    the iterate leaves the chart interior (negative boundary margin).
     """
-    if max_iter < 1:
-        raise DomainError(f"refine needs max_iter >= 1, not {max_iter}")
     z = np.array(z0, dtype=float)
     best = None
-    for _ in range(max_iter):
+    for _ in range(_REFINE_ITERS):
         F, J = system.linearize(z)
         r = float(np.linalg.norm(F))
         if not np.isfinite(r):
@@ -58,7 +57,7 @@ def refine(system, z0, tol=1e-10, max_iter=50):
         if np.min(system.boundary_margins(z)) < 0.0:
             raise BoundaryExitError("corrector left the chart interior")
         best = r
-    raise ConvergenceError(f"no convergence in {max_iter} iterations (residual {best:.3e})")
+    raise ConvergenceError(f"no convergence in {_REFINE_ITERS} iterations (residual {best:.3e})")
 
 
 def _gn_step(J, F, damping=1e-12):

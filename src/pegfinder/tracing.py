@@ -517,10 +517,6 @@ class PerturbedSystem(ResidualSystem):
     def _bump(self, z):
         return self.delta * self.base.boundary_margins(z)[..., None] * self._field(z)
 
-    def residual(self, z):
-        z = np.asarray(z, dtype=float)
-        return self.base.residual(z) + self._bump(z)
-
     def linearize(self, z):
         z = np.asarray(z, dtype=float)
         F, J = self.base.linearize(z)

@@ -82,7 +82,7 @@ def test_refine_ellipse_square(ellipse):
 def test_refine_diverges_cleanly(ellipse):
     sq = SquareSystem(ellipse)
     with pytest.raises(ConvergenceError):
-        refine(sq, np.array([0.0, 0.01, 0.97, 0.01]), max_iter=3)
+        refine(sq, np.array([0.0, 0.01, 0.97, 0.01]))
 
 
 def test_trace_circle_rhombus_family(circle, settings):

@@ -349,11 +349,6 @@ def test_gn_seed_shapes(ellipse):
     assert gauss_newton_batch(sq, [[0.05, 0.3, 0.2, 0.25]]).shape[1] == 4
 
 
-def test_refine_needs_an_iteration(ellipse):
-    with pytest.raises(ValueError, match="max_iter"):
-        refine(SquareSystem(ellipse), np.array([0.0, 0.25, 0.25, 0.25]), max_iter=0)
-
-
 def test_worker_count_is_usable_cpus_capped():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert _threads.worker_count() == min(4, cpus or 1)

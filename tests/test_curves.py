@@ -94,6 +94,11 @@ def test_fourier_kernel_keeps_two_block_arrays():
     assert np.array_equal(pos, cu.eval(t)) and np.array_equal(vel, cu.deriv(t))
 
 
+def test_fourier_curve_writes_eval_and_deriv_alone():
+    # eval and deriv are read off the one trig kernel in ClosedCurve
+    assert {"eval", "deriv"}.isdisjoint(vars(FourierCurve)) and "eval_and_deriv" in vars(FourierCurve)
+
+
 def test_polyline_constant_speed():
     square = PolylineCurve([[0, 0], [1, 0], [1, 1], [0, 1]])
     assert np.allclose(square.eval(np.array(0.25)), [1, 0])

@@ -122,6 +122,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # with a one-line message instead of a traceback
     (tmp_path / "broken.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[1, 2]")
+    for name, kind in (("nokind", {}), ("nullkind", {"kind": None}), ("intkind", {"kind": 5})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(kind))
     for name, verts in (("collinear", [[0, 0], [1, 0], [2, 0]]), ("doubled", [[0, 0], [1, 0], [1, 1], [1, 0]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"kind": "polyline", "vertices": verts}))
     for argv in (
@@ -129,6 +131,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--curve", "missing.json"],
         ["find-square", "--curve", "broken.json"],
         ["find-square", "--curve", "list.json"],
+        # a spec needs a string kind
+        ["find-square", "--curve", "nokind.json"],
+        ["find-square", "--curve", "nullkind.json"],
+        ["find-square", "--curve", "intkind.json"],
+        ["triangle", "--corpus", "circle", "--field2", "intkind.json"],
         ["find-square", "--corpus", "ellipse", "--tol", "-1"],
         ["find-square", "--corpus", "ellipse", "--tol", "nan"],
         ["octahedra", "--seed", "-1"],

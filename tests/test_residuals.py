@@ -23,7 +23,15 @@ from pegfinder import (
 )
 from pegfinder.circle import circle_dist, wrap
 from pegfinder.curves import FourierCurve
-from pegfinder.residuals import OCT_EDGES, QUAD_EDGES, QUAD_PAIRS, octahedron_edge_permutation
+from pegfinder.residuals import (
+    OCT_EDGES,
+    QUAD_EDGES,
+    QUAD_PAIRS,
+    ResidualSystem,
+    octahedron_edge_permutation,
+)
+from pegfinder.searches import _PlanarRhombusSystem
+from pegfinder.tracing import PerturbedSystem
 
 
 def cyclic_shift(p, k=1):
@@ -440,8 +448,13 @@ def _sphere_charts(rng, rows=40):
         (lambda: TriangleSystem(corpus("field-random", seed=4)), _polygon_charts(3)),
         (lambda: SpecialQuadSliceSystem(corpus("ellipse", a=2, b=1), 0.3), _slice_charts),
         (lambda: OctahedronSystem(corpus("scaled-sphere", lz=0.5)), _sphere_charts),
+        (lambda: _PlanarRhombusSystem(Rhombus3dSystem(corpus("trefoil"))), _polygon_charts(4)),
+        (lambda: PerturbedSystem(SquareSystem(corpus("ellipse")), delta=1e-3), _polygon_charts(4)),
     ],
-    ids=["square", "ratio5", "parallelogram", "triangle-field", "special-slice", "octahedron"],
+    ids=[
+        "square", "ratio5", "parallelogram", "triangle-field", "special-slice", "octahedron",
+        "planar-rhombus", "perturbed-square",
+    ],
 )
 def test_linearize_is_residual_and_jacobian_bit_for_bit(factory, charts):
     sys = factory()
@@ -451,6 +464,18 @@ def test_linearize_is_residual_and_jacobian_bit_for_bit(factory, charts):
     assert np.array_equal(J, sys.jacobian(Z))
     assert F.shape[-1] == sys.codomain_dim
     assert Z.shape[-1] == sys.chart_dim
+
+
+def test_every_system_writes_linearize_alone():
+    # residual is read off linearize in ResidualSystem, never written twice
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    systems = set(subclasses(ResidualSystem))
+    assert {_PlanarRhombusSystem, PerturbedSystem, SquareSystem, OctahedronSystem} <= systems
+    assert [cls.__qualname__ for cls in systems if "residual" in vars(cls)] == []
 
 
 # --- the linearize kernels against the formulas they replaced ---------------------
