@@ -549,13 +549,25 @@ class OctahedronSystem(ResidualSystem):
         return self.min_separation(z) - self.fat_diagonal
 
     def images(self, Z):
-        """Z relabeled by each of the 48 label symmetries, identity first."""
+        """Z relabeled by each of the 48 label symmetries, identity first,
+        each written straight into its slot of one array."""
         Z = np.asarray(Z, dtype=float)
-        return np.stack([self.apply_label_permutation(Z, sigma) for sigma in octahedron_group()])
+        group = octahedron_group()
+        out = np.empty((len(group),) + Z.shape)
+        q = self.points(Z)
+        for image, sigma in zip(out, group):
+            _relabel(q, sigma, self.points(image))
+        return out
 
     def apply_label_permutation(self, z, sigma):
-        q = self.points(z)
-        out = np.empty_like(q)
-        for v in range(6):
-            out[..., sigma[v], :] = q[..., v, :]
-        return out.reshape(z.shape)
+        z = np.asarray(z, dtype=float)
+        out = np.empty_like(z)
+        _relabel(self.points(z), sigma, self.points(out))
+        return out
+
+
+def _relabel(q, sigma, out):
+    """Write the octahedron vertices q (..., 6, 3) into out, vertex v at
+    label sigma[v]."""
+    for v in range(6):
+        out[..., sigma[v], :] = q[..., v, :]

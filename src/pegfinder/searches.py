@@ -58,30 +58,44 @@ def simplex_lattice(n, m):
 
 
 def polygon_seed_grid(n, nx, m, symmetry_order=1):
-    """Chart seeds (B, n): base grid times interior gap lattice.
+    """Chart seeds (B, n): base grid times interior gap lattice, base-major.
 
     With symmetry_order s > 1 only the seeds whose star base lies in
     [0, 1/s) are kept.  A cyclic relabeling shifts the star base rigidly by
     1/n, so that window is a fundamental domain of the Z_s action: every
     orbit keeps a labeling there, seeded at the density of the full grid.
-    Grids of more than MAX_SEED_GRID seeds are refused before any is built.
+    The window is taken on the (base x shape) outer sum of the star base
+    (``PolygonSystem.star_base_z`` of each shape at base 0, plus the base),
+    and only the kept rows are built: no full grid is.
+
+    MAX_SEED_GRID bounds the rows built, and the bound is checked from
+    counts alone, before the lattice is: each of the C(m - 1, n - 1) shapes
+    keeps at most nx // s + 1 of the nx equally spaced bases (a window of
+    width 1/s, also when a base on its edge rounds inside), and all nx when
+    s = 1.
     """
     if nx < 1:
         raise DomainError(f"the seed grid needs nx >= 1 base points, got nx = {nx}")
-    count = nx * math.comb(max(m - 1, 0), n - 1)
+    bases = nx if symmetry_order <= 1 else nx // symmetry_order + 1
+    count = bases * math.comb(max(m - 1, 0), n - 1)
     if count > MAX_SEED_GRID:
         raise DomainError(
-            f"the seed grid for n = {n}, nx = {nx}, m = {m} would hold {count:,} seeds, "
-            f"more than {MAX_SEED_GRID:,}"
+            f"the seed grid for n = {n}, nx = {nx}, m = {m} would hold up to {count:,} seeds "
+            f"in its fundamental domain, more than {MAX_SEED_GRID:,}"
         )
-    shapes = simplex_lattice(n, m)[:, : n - 1]
+    gaps = simplex_lattice(n, m)
+    shapes = np.concatenate([np.zeros((len(gaps), 1)), gaps[:, :-1]], axis=1)  # at base 0
     xs = (np.arange(nx) + 0.5) / nx
-    B = len(shapes) * nx
-    seeds = np.empty((B, n))
-    seeds[:, 0] = np.repeat(xs, len(shapes))
-    seeds[:, 1:] = np.tile(shapes, (nx, 1))
-    if symmetry_order > 1:
-        seeds = seeds[PolygonSystem.star_base_z(seeds) < 1.0 / symmetry_order]
+    if symmetry_order <= 1:
+        seeds = np.tile(shapes, (nx, 1))
+        seeds[:, 0] = np.repeat(xs, len(shapes))
+        return seeds
+    # a shape's star base at base 0 lies in [0, 1), so at base x it is the
+    # wrap of x plus that, bit for bit as star_base_z of the seed itself
+    star = PolygonSystem.star_base_z(shapes)
+    i, j = np.nonzero(wrap(xs[:, None] + star) < 1.0 / symmetry_order)
+    seeds = shapes[j]
+    seeds[:, 0] = xs[i]
     return seeds
 
 

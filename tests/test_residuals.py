@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,23 @@ def test_octahedron_group_structure():
     for sigma in G[:8]:
         perm = octahedron_edge_permutation(sigma)
         assert sorted(perm) == list(range(12))
+
+
+def test_octahedron_images_fill_one_array(rng):
+    # the 48 relabelings of a traced-circle-sized chain are written into one
+    # array, with the bytes of the per-permutation copies
+    sys = OctahedronSystem(corpus("scaled-sphere", lz=0.5))
+    Z = rng.normal(size=(920, 18))
+    want = np.stack([sys.apply_label_permutation(Z, sigma) for sigma in octahedron_group()])
+    sys.images(Z)  # warm-up: no first-call allocation counts
+    tracemalloc.start()
+    try:
+        got = sys.images(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert peak < 1.5 * got.nbytes
 
 
 def test_octahedron_norm_invariance_under_group(rng):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,7 @@ from pegfinder import (
     from_vertices,
     octahedron_group,
     vertices,
+    winding_sum,
 )
 from pegfinder import searches, tracing
 from pegfinder.errors import ConvergenceError, DomainError, SearchFailure
@@ -268,9 +271,61 @@ def test_seed_grid_is_bounded_before_it_is_built(monkeypatch, capsys):
 
     monkeypatch.setattr(searches, "simplex_lattice", no_lattice)
     with pytest.raises(DomainError, match="156,454,740 seeds"):
-        polygon_seed_grid(12, 12, 28)  # find-ngon --n 12: 12 * C(27, 11)
-    assert main(["find-ngon", "--corpus", "ellipse", "--n", "12"]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+        polygon_seed_grid(12, 12, 28)  # 12 * C(27, 11), the full grid
+    # find-ngon --n 10 and 12: the Z_n domain bound, 2 * C(23, 9) and
+    # 2 * C(27, 11), is refused from counts alone
+    with pytest.raises(DomainError, match="1,634,380 seeds"):
+        polygon_seed_grid(10, 12, 24, 10)
+    for n in ("10", "12"):
+        assert main(["find-ngon", "--corpus", "ellipse", "--n", n]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+def _filtered_full_grid(n, nx, m, s):
+    """Reference: the full (base x shape) grid, base-major, then the rows
+    whose star base lies in [0, 1/s)."""
+    shapes = simplex_lattice(n, m)[:, : n - 1]
+    xs = (np.arange(nx) + 0.5) / nx
+    seeds = np.empty((nx * len(shapes), n))
+    seeds[:, 0] = np.repeat(xs, len(shapes))
+    seeds[:, 1:] = np.tile(shapes, (nx, 1))
+    return seeds[EdgeRatioSystem.star_base_z(seeds) < 1.0 / s]
+
+
+@pytest.mark.parametrize(
+    "n, nx, m, s",
+    [(n, 12, max(8, 2 * n + 4), n) for n in range(3, 9)] + [(4, 150, 24, 4), (4, 150, 24, 2)],
+)
+def test_domain_seed_grid_is_the_filtered_full_grid(n, nx, m, s):
+    # edge_ratio_branches' grids for n = 3..8 and count_squares' grid
+    got = polygon_seed_grid(n, nx, m, s)
+    want = _filtered_full_grid(n, nx, m, s)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(got) <= (nx // s + 1) * math.comb(m - 1, n - 1)
+
+
+def test_domain_seed_grid_builds_no_full_grid():
+    # count_squares' grid: the full (150 * 1771, 4) grid alone is 8.5 MB,
+    # the 66,412 domain rows 2.1 MB
+    polygon_seed_grid(4, 150, 24, 4)  # warm-up: no first-call allocation counts
+    tracemalloc.start()
+    try:
+        seeds = polygon_seed_grid(4, 150, 24, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seeds) == 66_412
+    assert peak < 8e6
+
+
+def test_edge_ratio_lemma_at_n9():
+    # 9 = 3^2, a prime power: the lemma's winding sum is +-1, carried by a
+    # closed full-isotropy branch; free Z_9 orbits of isotropy-1 loops
+    # come with it
+    branches = edge_ratio_branches(_D10_SEED1, 9)
+    assert abs(winding_sum(branches)) == 1
+    closed = [b.isotropy_order for b in branches if b.closed]
+    assert 9 in closed and 1 in closed
 
 
 def _eager_events(br, events, settings):

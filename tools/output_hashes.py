@@ -7,11 +7,12 @@ every `count_squares` operation of `square-count` (see perfbench/), then
 `find_square` on the six square-count curves,
 `find_rectangle(ellipse, 2, cross_check=True)`, `count_special_quads` on
 the spiral, the ellipse and `field-sin-mod`, `edge_ratio_branches` on
-curves with free symmetry orbits, `find_octahedra` at lz = 0.5 with
-settings seeds 1 and 2 and on a sphere scaled on two axes, and
-`find_two_metric_triangle` on the circle and `field-sin-mod` (these pin
-the component-membership decisions of `tracing.near_chain`), and prints a
-SHA-256 prefix of each output followed by the call's label.  An output is
+curves with free symmetry orbits (fourier-random d10 seed 1 at n = 4 to
+8, whose Z_n fundamental-domain seed grids grow with n), `find_octahedra`
+at lz = 0.5 with settings seeds 1 and 2 and on a sphere scaled on two
+axes, and `find_two_metric_triangle` on the circle and `field-sin-mod`
+(these pin the component-membership decisions of `tracing.near_chain`),
+and prints a SHA-256 prefix of each output followed by the call's label.  An output is
 hashed exactly: arrays by dtype, shape and bytes, floats by their hex
 form, containers and dataclasses field by field (a branch's system by its
 kind).  The CLI calls are hashed by their exit code and the files they
@@ -103,7 +104,7 @@ def finder_calls():
     field = pf.corpus("field-sin-mod")
     calls.append(("count_special_quads ellipse eps=0.3", lambda: pf.count_special_quads(ellipse, 0.3)))
     calls.append(("count_special_quads field-sin-mod eps=0.25", lambda: pf.count_special_quads(field, 0.25)))
-    for seed, n in ((0, 3), (1, 4), (1, 5)):
+    for seed, n in ((0, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8)):
         curve = pf.corpus("fourier-random", degree=10, amp=0.6, seed=seed)
         calls.append((
             f"edge_ratio_branches d10 seed={seed} n={n}",
