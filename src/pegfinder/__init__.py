@@ -35,7 +35,7 @@ from .errors import (
     SearchFailure,
     UnknownCorpusError,
 )
-from .fields import ChordalField, DistanceField, SyntheticField, field_from_curve, field_from_spec
+from .fields import ChordalField, DistanceField, SyntheticField, field_from_spec
 from .polygons import PolygonParam, from_vertices, vertices
 from .residuals import (
     EdgeRatioSystem,

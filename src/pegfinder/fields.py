@@ -1,14 +1,15 @@
 """Distance fields on the circle: symmetric, positive definite d(x, y).
 
-Every residual system reads distances between its vertices through
-``pair_dists``, or distances and their vertex gradients at once through
-``pair_dists_and_grad``, which the chordal field serves from one curve
-evaluation; ``as_field`` turns a curve into its chordal field, so curves and
-synthetic fields share one path.
+Each field writes one kernel, ``pair_dists_and_grad``: the distances between
+vertex pairs and their vertex gradients, from one pass.  Its parts,
+``pair_dists`` and ``d`` (one pair, broadcast), are written once in
+``DistanceField``.  ``as_field`` turns a curve into its chordal field, so
+curves and synthetic fields share one path.
 
 Two sources:
 
-* ``ChordalField`` -- pull back chord lengths of an embedded curve.
+* ``ChordalField`` -- pull back chord lengths of an embedded curve; its
+  ``pair_dists`` reads positions only, with the kernel's bytes.
 * ``SyntheticField`` -- 2|sin(pi(x-y))| times a trigonometric modulation in
   (x+y) and (x-y).  The |sin| factor makes d(x, x) = 0 structural; the
   modulation is symmetric in x and y and must stay positive on a
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import ClosedCurve, chord
+from .curves import ClosedCurve, curve_from_spec
 from .errors import DomainError
 
-GRID = 200  # diagnostic grid resolution for symmetry/definiteness checks
+GRID = 200  # diagnostic grid resolution for the definiteness check
 _TINY = 1e-300
 _PAIR_INDEX = {}  # tuple of vertex pairs -> (rows, i, j) index arrays
 
@@ -79,11 +80,12 @@ def chord_dists_and_grad(P, D, pairs):
 
 
 class DistanceField:
-    def d(self, x, y):
-        raise NotImplementedError
+    """One kernel, ``pair_dists_and_grad``; ``pair_dists`` and ``d`` are its parts."""
 
-    def partials(self, x, y):
-        """(dd/dx, dd/dy) at (x, y); undefined on the diagonal."""
+    def pair_dists_and_grad(self, V, pairs):
+        """(L, G): distances between vertex pairs of tuples V (..., n),
+        L (..., len(pairs)), and G (..., len(pairs), n) with
+        G[..., e, v] = d pair_e / d vertex v."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -91,35 +93,29 @@ class DistanceField:
 
     def pair_dists(self, V, pairs):
         """Distances between vertex pairs of tuples V (..., n): (..., len(pairs))."""
-        _, i, j = _pair_index(pairs)
-        return self.d(V[..., i], V[..., j])
+        return self.pair_dists_and_grad(V, pairs)[0]
 
-    def pair_dists_and_grad(self, V, pairs):
-        """(pair_dists, G) with G (..., len(pairs), n), G[..., e, v] = d pair_e / d vertex v."""
-        rows, i, j = _pair_index(pairs)
-        dx, dy = self.partials(V[..., i], V[..., j])
-        return self.pair_dists(V, pairs), _pair_grad(dx, dy, V.shape[-1], rows, i, j)
+    def d(self, x, y):
+        """d(x, y), broadcast over x and y."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return self.pair_dists(np.stack([x, y], axis=-1), [(0, 1)])[..., 0]
 
     def check_definite(self):
-        """Reject fields that vanish or go negative off the diagonal."""
+        """Reject fields that vanish, go negative or are not finite off the
+        diagonal; each unordered grid pair is tested once (d is symmetric)."""
         u = (np.arange(GRID) + 0.5) / GRID
-        X, Y = np.meshgrid(u, u, indexing="ij")
-        vals = self.d(X, Y)
-        off = ~np.eye(GRID, dtype=bool)
-        if np.min(vals[off]) <= 0.0:
+        i, j = np.triu_indices(GRID, 1)
+        if not np.all(self.d(u[i], u[j]) > 0.0):
             raise DomainError("distance field is not positive definite on the diagnostic grid")
-        return self
 
 
 class ChordalField(DistanceField):
     def __init__(self, curve: ClosedCurve):
         self.curve = curve
 
-    def d(self, x, y):
-        return chord(self.curve, x, y)
-
     def pair_dists(self, V, pairs):
-        """Chord lengths, evaluating each vertex once."""
+        """Chord lengths from positions alone: the kernel's first part, bit
+        for bit, at a third of its curve evaluations."""
         P = self.curve.eval(V)
         _, i, j = _pair_index(pairs)
         return _coord_norm(P[..., i, :] - P[..., j, :])
@@ -148,44 +144,40 @@ class SyntheticField(DistanceField):
         self.ps = np.atleast_1d(np.asarray(ps, dtype=float))
         self.qs = np.atleast_1d(np.asarray(qs, dtype=float))
         self.rs = np.atleast_1d(np.asarray(rs, dtype=float))
+        if not all(np.all(np.isfinite(a)) for a in (self.c0, self.ps, self.qs, self.rs)):
+            raise DomainError("field coefficients must be finite")
         self.check_definite()
 
-    def _modulation(self, x, y):
-        s = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
-        u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        m = self.c0 * np.ones(np.broadcast(s, u).shape)
-        for j, p in enumerate(self.ps, start=1):
-            m = m + p * np.cos(2 * np.pi * j * s)
-        for j, q in enumerate(self.qs, start=1):
-            m = m + q * np.sin(2 * np.pi * j * s)
-        for j, r in enumerate(self.rs, start=1):
-            m = m + r * np.cos(2 * np.pi * j * u)
-        return m
-
-    def d(self, x, y):
-        u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return 2.0 * np.abs(np.sin(np.pi * u)) * self._modulation(x, y)
-
-    def partials(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def pair_dists_and_grad(self, V, pairs):
+        """d = 2|sin(pi u)| m and its partials in x and y over the pairs
+        (x, y), u = x - y and s = x + y: m, dm/ds and dm/du from one pass
+        over the series."""
+        rows, i, j = _pair_index(pairs)
+        x, y = V[..., i], V[..., j]
         u = x - y
         s = x + y
         sn = np.sin(np.pi * u)
         base = 2.0 * np.abs(sn)
         dbase = 2.0 * np.pi * np.cos(np.pi * u) * np.sign(sn)
-        m = self._modulation(x, y)
-        dm_ds = np.zeros(np.broadcast(s, u).shape)
-        for j, p in enumerate(self.ps, start=1):
-            dm_ds = dm_ds - p * 2 * np.pi * j * np.sin(2 * np.pi * j * s)
-        for j, q in enumerate(self.qs, start=1):
-            dm_ds = dm_ds + q * 2 * np.pi * j * np.cos(2 * np.pi * j * s)
-        dm_du = np.zeros(np.broadcast(s, u).shape)
-        for j, r in enumerate(self.rs, start=1):
-            dm_du = dm_du - r * 2 * np.pi * j * np.sin(2 * np.pi * j * u)
+        m = self.c0 * np.ones(u.shape)
+        dm_ds = np.zeros(u.shape)
+        dm_du = np.zeros(u.shape)
+        # the ps and qs terms of frequency k share cos and sin of 2 pi k s
+        ks = range(1, max(len(self.ps), len(self.qs)) + 1)
+        trig = [(np.cos(w), np.sin(w)) for w in (2 * np.pi * k * s for k in ks)]
+        for k, (p, (c, sw)) in enumerate(zip(self.ps, trig), start=1):
+            m += p * c
+            dm_ds -= p * 2 * np.pi * k * sw
+        for k, (q, (c, sw)) in enumerate(zip(self.qs, trig), start=1):
+            m += q * sw
+            dm_ds += q * 2 * np.pi * k * c
+        for k, r in enumerate(self.rs, start=1):
+            w = 2 * np.pi * k * u
+            m += r * np.cos(w)
+            dm_du -= r * 2 * np.pi * k * np.sin(w)
         ddx = dbase * m + base * (dm_ds + dm_du)
         ddy = -dbase * m + base * (dm_ds - dm_du)
-        return ddx, ddy
+        return base * m, _pair_grad(ddx, ddy, V.shape[-1], rows, i, j)
 
     def spec(self):
         return {
@@ -206,16 +198,9 @@ def as_field(source) -> DistanceField:
     return source
 
 
-def field_from_curve(curve: ClosedCurve) -> ChordalField:
-    """Pull the ambient metric back along an (assumed injective) embedding."""
-    return ChordalField(curve)
-
-
 def field_from_spec(spec: dict) -> DistanceField:
     kind = spec.get("kind")
     if kind == "chordal":
-        from .curves import curve_from_spec
-
         return ChordalField(curve_from_spec(spec["curve"]))
     if kind == "synthetic-field":
         return SyntheticField(spec.get("c0", 1.0), spec.get("ps", ()), spec.get("qs", ()), spec.get("rs", ()))

@@ -37,10 +37,8 @@ import numpy as np
 from .circle import circle_dist, signed_gap, wrap
 from .curves import EmbeddedSphere
 from .errors import DegenerateConfigurationError, DomainError
-from .fields import _coord_norm, _coord_sum, as_field, chord_dists_and_grad
+from .fields import _TINY, _coord_norm, _coord_sum, as_field, chord_dists_and_grad
 from .polygons import PolygonParam
-
-_TINY = 1e-300
 
 
 def _ties(m, *ties):

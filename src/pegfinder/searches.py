@@ -60,23 +60,23 @@ def simplex_lattice(n, m):
 def polygon_seed_grid(n, nx, m, symmetry_order=1):
     """Chart seeds (B, n): base grid times interior gap lattice, base-major.
 
-    With symmetry_order s > 1 only the seeds whose star base lies in
-    [0, 1/s) are kept.  A cyclic relabeling shifts the star base rigidly by
-    1/n, so that window is a fundamental domain of the Z_s action: every
-    orbit keeps a labeling there, seeded at the density of the full grid.
-    The window is taken on the (base x shape) outer sum of the star base
+    Only the seeds whose star base lies in [0, 1/s), s = symmetry_order,
+    are kept.  A cyclic relabeling shifts the star base rigidly by 1/n, so
+    that window is a fundamental domain of the Z_s action: every orbit
+    keeps a labeling there, seeded at the density of the full grid.  The
+    window is taken on the (base x shape) outer sum of the star base
     (``PolygonSystem.star_base_z`` of each shape at base 0, plus the base),
-    and only the kept rows are built: no full grid is.
+    and only the kept rows are built: no full grid is.  At s = 1 every row
+    is kept (the wrap of a sum in [0, 2) lies below 1).
 
     MAX_SEED_GRID bounds the rows built, and the bound is checked from
     counts alone, before the lattice is: each of the C(m - 1, n - 1) shapes
-    keeps at most nx // s + 1 of the nx equally spaced bases (a window of
-    width 1/s, also when a base on its edge rounds inside), and all nx when
-    s = 1.
+    keeps at most min(nx, nx // s + 1) of the nx equally spaced bases (a
+    window of width 1/s, also when a base on its edge rounds inside).
     """
     if nx < 1:
         raise DomainError(f"the seed grid needs nx >= 1 base points, got nx = {nx}")
-    bases = nx if symmetry_order <= 1 else nx // symmetry_order + 1
+    bases = min(nx, nx // symmetry_order + 1)
     count = bases * math.comb(max(m - 1, 0), n - 1)
     if count > MAX_SEED_GRID:
         raise DomainError(
@@ -86,10 +86,6 @@ def polygon_seed_grid(n, nx, m, symmetry_order=1):
     gaps = simplex_lattice(n, m)
     shapes = np.concatenate([np.zeros((len(gaps), 1)), gaps[:, :-1]], axis=1)  # at base 0
     xs = (np.arange(nx) + 0.5) / nx
-    if symmetry_order <= 1:
-        seeds = np.tile(shapes, (nx, 1))
-        seeds[:, 0] = np.repeat(xs, len(shapes))
-        return seeds
     # a shape's star base at base 0 lies in [0, 1), so at base x it is the
     # wrap of x plus that, bit for bit as star_base_z of the seed itself
     star = PolygonSystem.star_base_z(shapes)

@@ -16,12 +16,12 @@ from pegfinder import (
     chord,
     corpus,
     curve_from_spec,
-    field_from_curve,
     self_intersects,
     signed_area,
 )
 from pegfinder.corpus import corpus_list
 from pegfinder.curves import _encloses_area
+from pegfinder.fields import as_field
 
 
 def test_circle_parametrization(circle):
@@ -160,11 +160,11 @@ def test_encloses_area_blocks_decide_as_single_probes():
         PolylineCurve(chains["retraced arc"][0])
 
 
-def test_field_from_curve_matches_chord(circle, trefoil, rng):
-    f = field_from_curve(circle)
+def test_chordal_field_matches_chord(circle, trefoil, rng):
+    f = as_field(circle)
     assert f.d(0.0, 0.5) == pytest.approx(2.0, abs=1e-14)
     assert f.d(0.3, 0.3) == 0.0
-    ft = field_from_curve(trefoil)
+    ft = as_field(trefoil)
     # evaluate both sides independently on the trefoil
     assert ft.d(0.0, 0.5) == pytest.approx(float(chord(trefoil, 0.0, 0.5)), abs=1e-14)
     x = rng.uniform(size=32)
@@ -173,26 +173,30 @@ def test_field_from_curve_matches_chord(circle, trefoil, rng):
 
 
 class _GenericChordal(DistanceField):
-    """Reference: the chordal distance served through the generic
-    d/partials path of ``DistanceField``, one pair at a time."""
+    """Reference: the chordal distance written as the one kernel
+    ``pair_dists_and_grad``, one pair at a time from ``np.linalg.norm`` and
+    ``curve.deriv``; ``pair_dists`` is the base class part."""
 
     def __init__(self, curve):
         self.curve = curve
 
-    def d(self, x, y):
-        return np.linalg.norm(self.curve.eval(x) - self.curve.eval(y), axis=-1)
-
-    def partials(self, x, y):
-        diff = self.curve.eval(x) - self.curve.eval(y)
-        u = diff / np.linalg.norm(diff, axis=-1)[..., None]
-        return np.sum(u * self.curve.deriv(x), axis=-1), -np.sum(u * self.curve.deriv(y), axis=-1)
+    def pair_dists_and_grad(self, V, pairs):
+        L = np.empty(V.shape[:-1] + (len(pairs),))
+        G = np.zeros(V.shape[:-1] + (len(pairs), V.shape[-1]))
+        for e, (i, j) in enumerate(pairs):
+            diff = self.curve.eval(V[..., i]) - self.curve.eval(V[..., j])
+            L[..., e] = np.linalg.norm(diff, axis=-1)
+            unit = diff / L[..., e, None]
+            G[..., e, i] = np.sum(unit * self.curve.deriv(V[..., i]), axis=-1)
+            G[..., e, j] = -np.sum(unit * self.curve.deriv(V[..., j]), axis=-1)
+        return L, G
 
 
 @pytest.mark.parametrize("name, params", [("fourier-random", {"seed": 3}), ("cusp", {})])
 def test_chordal_pair_dists_match_generic_path(name, params):
-    # the chordal fast path (each vertex evaluated once) against the generic
-    # d/partials path, at off-diagonal vertex tuples
-    f = field_from_curve(corpus(name, **params))
+    # the chordal kernel (each vertex evaluated once) against a pair-at-a-time
+    # reference, at off-diagonal vertex tuples
+    f = as_field(corpus(name, **params))
     ref = _GenericChordal(f.curve)
     pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
     rng = np.random.default_rng(11)
@@ -202,6 +206,14 @@ def test_chordal_pair_dists_match_generic_path(name, params):
     G = f.pair_dists_and_grad(V, pairs)[1]
     assert G.shape == V.shape[:1] + (len(pairs), 4)
     assert np.allclose(G, ref.pair_dists_and_grad(V, pairs)[1], rtol=1e-9, atol=1e-12)
+    # the base class part d, one pair broadcast, on the reference
+    assert np.allclose(f.d(V[:, 0], V[:, 2]), ref.d(V[:, 0], V[:, 2]), rtol=1e-14, atol=0)
+    # the chordal pair_dists evaluates positions only; it must return the
+    # bytes of the kernel's first part, for one point and for a batch
+    for V in (rng.uniform(size=4), rng.uniform(size=(30, 4)), rng.uniform(size=(1000, 4))):
+        got = f.pair_dists(V, pairs)
+        want = f.pair_dists_and_grad(V, pairs)[0]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_corpus_determinism():
@@ -280,6 +292,23 @@ def test_synthetic_field_invariants(rng):
 def test_synthetic_field_rejects_nonpositive():
     with pytest.raises(DomainError):
         SyntheticField(c0=0.1, ps=[0.5])
+
+
+def test_synthetic_field_rejects_non_finite():
+    for kwargs in ({"c0": np.nan}, {"c0": np.inf}, {"ps": [np.nan]}, {"qs": [0.0, -np.inf]}, {"rs": [np.nan]}):
+        with pytest.raises(DomainError, match="finite"):
+            SyntheticField(**kwargs)
+    # one NaN value on the grid fails the definiteness check (nan <= 0 is
+    # false, so only "every value > 0" catches it)
+
+    class _NanField(DistanceField):
+        def pair_dists_and_grad(self, V, pairs):
+            L = np.ones(V.shape[:-1] + (len(pairs),))
+            L.flat[123] = np.nan
+            return L, np.zeros(L.shape + (V.shape[-1],))
+
+    with pytest.raises(DomainError, match="positive definite"):
+        _NanField().check_definite()
 
 
 def test_curve_spec_roundtrip(rng):

@@ -124,6 +124,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     for name, kind in (("nokind", {}), ("nullkind", {"kind": None}), ("intkind", {"kind": 5})):
         (tmp_path / f"{name}.json").write_text(json.dumps(kind))
+    # json.load reads NaN and Infinity: a field built from them is refused
+    (tmp_path / "nanfield.json").write_text('{"kind": "synthetic-field", "c0": NaN}')
+    (tmp_path / "inffield.json").write_text('{"kind": "synthetic-field", "ps": [Infinity]}')
     for name, verts in (("collinear", [[0, 0], [1, 0], [2, 0]]), ("doubled", [[0, 0], [1, 0], [1, 1], [1, 0]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"kind": "polyline", "vertices": verts}))
     for argv in (
@@ -136,6 +139,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--curve", "nullkind.json"],
         ["find-square", "--curve", "intkind.json"],
         ["triangle", "--corpus", "circle", "--field2", "intkind.json"],
+        ["triangle", "--curve", "nanfield.json"],
+        ["triangle", "--curve", "inffield.json"],
+        ["triangle", "--corpus", "circle", "--field2", "nanfield.json"],
         ["find-square", "--corpus", "ellipse", "--tol", "-1"],
         ["find-square", "--corpus", "ellipse", "--tol", "nan"],
         ["octahedra", "--seed", "-1"],

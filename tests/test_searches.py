@@ -294,10 +294,12 @@ def _filtered_full_grid(n, nx, m, s):
 
 @pytest.mark.parametrize(
     "n, nx, m, s",
-    [(n, 12, max(8, 2 * n + 4), n) for n in range(3, 9)] + [(4, 150, 24, 4), (4, 150, 24, 2)],
+    [(n, 12, max(8, 2 * n + 4), n) for n in range(3, 9)]
+    + [(4, 150, 24, 4), (4, 150, 24, 2), (4, 24, 16, 1), (4, 10, 8, 1), (3, 64, 12, 1)],
 )
 def test_domain_seed_grid_is_the_filtered_full_grid(n, nx, m, s):
-    # edge_ratio_branches' grids for n = 3..8 and count_squares' grid
+    # edge_ratio_branches' grids for n = 3..8, count_squares' grid, and
+    # full grids (s = 1) of find_square and the triangle searches
     got = polygon_seed_grid(n, nx, m, s)
     want = _filtered_full_grid(n, nx, m, s)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -10,9 +10,10 @@ the spiral, the ellipse and `field-sin-mod`, `edge_ratio_branches` on
 curves with free symmetry orbits (fourier-random d10 seed 1 at n = 4 to
 8, whose Z_n fundamental-domain seed grids grow with n), `find_octahedra`
 at lz = 0.5 with settings seeds 1 and 2 and on a sphere scaled on two
-axes, and `find_two_metric_triangle` on the circle and `field-sin-mod`
+axes, `find_two_metric_triangle` on the circle and `field-sin-mod`
 (these pin the component-membership decisions of `tracing.near_chain`),
-and prints a SHA-256 prefix of each output followed by the call's label.  An output is
+and `count_squares` on `field-random` seed 0 (a batched multistart on the
+synthetic field's kernel), and prints a SHA-256 prefix of each output followed by the call's label.  An output is
 hashed exactly: arrays by dtype, shape and bytes, floats by their hex
 form, containers and dataclasses field by field (a branch's system by its
 kind).  The CLI calls are hashed by their exit code and the files they
@@ -82,7 +83,8 @@ def finder_calls():
     edge-ratio components of two curves with free orbits (one
     full-isotropy loop plus free Z_n orbits of loops, listed by images),
     the octahedron circles from two more seed populations and on a second
-    sphere, and the two-metric triangle."""
+    sphere, the two-metric triangle, and the square count of a synthetic
+    field."""
     curves = [
         (f"fourier-random d4 seed={s}", pf.corpus("fourier-random", degree=4, amp=0.3, seed=s))
         for s in workloads.C2_COUNTED
@@ -122,6 +124,8 @@ def finder_calls():
     ))
     circle = pf.corpus("circle")
     calls.append(("find_two_metric_triangle circle field-sin-mod", lambda: pf.find_two_metric_triangle(circle, field)))
+    field_random = pf.corpus("field-random", seed=0)
+    calls.append(("count_squares field-random seed=0", lambda: pf.count_squares(field_random)))
     return calls
 
 
