@@ -9,9 +9,12 @@ solver trades that robustness for throughput: regularized normal equations
 solved for a whole block of seeds at once, with divergent rows pruned
 between sweeps.  The seed population is cut into contiguous blocks of at
 most ``_BLOCK_ROWS`` rows, which keep their arrays in cache and run on
-``_threads.parallel_map`` threads (numpy releases the GIL); every row's
-iteration is independent of the others, so the result is the same bytes
-in the same order for any block size and thread count.
+``_threads.parallel_map`` threads (numpy releases the GIL).  Each sweep
+runs a block's live rows in contiguous chunks of at most ``_SWEEP_ROWS``
+rows, so its temporaries stay a few MB that the allocator reuses from
+sweep to sweep.  Every row's iteration is independent of the others, so
+the result is the same bytes in the same order for any block size, chunk
+size and thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from . import _threads
 from .errors import BoundaryExitError, ConvergenceError, DomainError
 
 _BLOCK_ROWS = 8192
+_SWEEP_ROWS = 2048  # rows one sweep linearizes and steps at a time
 _MAX_STEP = 0.25  # a batched step longer than this is scaled down to it
 _REFINE_ITERS = 50  # Gauss-Newton sweeps of refine before it gives up
 
@@ -81,26 +85,45 @@ def _gn_step(J, F, damping=1e-12):
     return (Jt @ w)[..., 0]
 
 
+def _gn_sweep(system, Z, sweep, tol, prune_after, prune_level):
+    """One sweep on rows Z: (the rows converged at it, the stepped rows kept)."""
+    F, J = system.linearize(Z)
+    rn = np.linalg.norm(F, axis=-1)
+    ok = np.isfinite(rn)
+    conv = ok & (rn <= tol)
+    keep = ok & ~conv
+    if sweep >= prune_after:
+        keep &= rn < prune_level
+    found = Z[conv]
+    Z, F, J = Z[keep], F[keep], J[keep]
+    if Z.shape[0] == 0:
+        return found, Z
+    step = _gn_step(J, F)
+    ns = np.linalg.norm(step, axis=-1, keepdims=True)
+    step = np.where(ns > _MAX_STEP, step * (_MAX_STEP / np.maximum(ns, 1e-300)), step)
+    return found, Z + step
+
+
 def _gn_sweeps(system, Z, tol, max_iter, prune_after, prune_level):
-    """The sweep loop on one block of seeds: [(sweep, rows converged at it)]."""
+    """The sweep loop on one block of seeds: [(sweep, rows converged at it)].
+
+    Each sweep runs the block's live rows in contiguous chunks of at most
+    ``_SWEEP_ROWS``, so the sweep temporaries are a chunk's, small enough to
+    stay in the heap and be reused, instead of a block's, which the
+    allocator maps and unmaps on every sweep.
+    """
     done = []
     for sweep in range(max_iter):
-        F, J = system.linearize(Z)
-        rn = np.linalg.norm(F, axis=-1)
-        ok = np.isfinite(rn)
-        conv = ok & (rn <= tol)
-        if np.any(conv):
-            done.append((sweep, Z[conv]))
-        keep = ok & ~conv
-        if sweep >= prune_after:
-            keep &= rn < prune_level
-        Z, F, J = Z[keep], F[keep], J[keep]
+        parts = [
+            _gn_sweep(system, Z[i : i + _SWEEP_ROWS], sweep, tol, prune_after, prune_level)
+            for i in range(0, len(Z), _SWEEP_ROWS)
+        ]
+        conv = [c for c, _ in parts if len(c)]
+        if conv:
+            done.append((sweep, np.concatenate(conv)))
+        Z = np.concatenate([z for _, z in parts])
         if Z.shape[0] == 0:
             break
-        step = _gn_step(J, F)
-        ns = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = np.where(ns > _MAX_STEP, step * (_MAX_STEP / np.maximum(ns, 1e-300)), step)
-        Z = Z + step
     return done
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,7 @@ def _square_count_zeros(curve):
 def one_block_results():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_BLOCK_ROWS", 10**9)
+        mp.setattr(solvers, "_SWEEP_ROWS", 10**9)
         zeros = _square_count_zeros(corpus("fourier-random", degree=10, amp=0.6, seed=4))
         report = count_squares(corpus("cusp")).to_dict()
     return zeros, report
@@ -313,6 +315,38 @@ def test_gn_blocks_match_one_block(monkeypatch, one_block_results, threads):
     blocked = _square_count_zeros(corpus("fourier-random", degree=10, amp=0.6, seed=4))
     assert len(zeros) > 0 and np.array_equal(blocked, zeros)
     assert count_squares(corpus("cusp")).to_dict() == report
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_gn_sweep_chunks_match_one_block(monkeypatch, one_block_results, threads):
+    # a sweep runs its block's live rows in chunks; chunks that divide
+    # neither the blocks nor the live rows still give the one-block zeros,
+    # bytes and order
+    zeros, _ = one_block_results
+    monkeypatch.setattr(solvers, "_SWEEP_ROWS", 97)
+    monkeypatch.setattr(solvers, "_BLOCK_ROWS", 997)
+    monkeypatch.setattr(_threads, "worker_count", lambda: threads)
+    chunked = _square_count_zeros(corpus("fourier-random", degree=10, amp=0.6, seed=4))
+    assert len(zeros) > 0 and chunked.shape == zeros.shape
+    assert chunked.tobytes() == zeros.tobytes()
+
+
+@pytest.mark.parametrize("name, params", [("fourier-random", {"degree": 10, "amp": 0.6, "seed": 1}), ("cusp", {})])
+def test_gn_sweep_temporaries_stay_small(monkeypatch, name, params):
+    # count_squares' batch on two threads: each holds one 2048-row chunk's
+    # temporaries (about 2.5 MB), not an 8192-row block's (9 to 11 MB,
+    # 16 to 21 MB traced over the batch)
+    monkeypatch.setattr(_threads, "worker_count", lambda: 2)
+    sq = SquareSystem(corpus(name, **params))
+    seeds = polygon_seed_grid(4, 150, 24, sq.symmetry_order)
+    tracemalloc.start()
+    try:
+        zeros = gauss_newton_batch(sq, seeds, tol=1e-11, prune_after=1, prune_level=0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(zeros) > 0
+    assert peak < 10e6
 
 
 class _FailsOnRow:

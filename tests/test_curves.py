@@ -76,9 +76,10 @@ def test_fourier_derivative_matches_central_differences(name, params, rng):
 
 
 def test_fourier_kernel_keeps_two_block_arrays():
-    # eval_and_deriv on a Gauss-Newton-sized block holds two (B, n, K) trig
-    # arrays (the sines overwrite the angles and the frequency scaling is in
-    # place), leaves t as it was and gives the bits of eval and deriv
+    # eval_and_deriv on 8192 rows (a Gauss-Newton block, four times the
+    # rows a sweep chunk evaluates) holds two (B, n, K) trig arrays (the
+    # sines overwrite the angles and the frequency scaling is in place),
+    # leaves t as it was and gives the bits of eval and deriv
     cu = corpus("fourier-random", degree=10, amp=0.6, seed=1)
     t = np.random.default_rng(5).uniform(size=(8192, 4))
     t_before = t.copy()

@@ -2,23 +2,27 @@
 
     python3 tools/output_hashes.py > hashes.txt
 
-Runs every operation of the `branch-trace` workload at seeds 0, 1 and 2 and
-every `count_squares` operation of `square-count` (see perfbench/), then
-`find_square` on the six square-count curves,
-`find_rectangle(ellipse, 2, cross_check=True)`, `count_special_quads` on
-the spiral, the ellipse and `field-sin-mod`, `edge_ratio_branches` on
-curves with free symmetry orbits (fourier-random d10 seed 1 at n = 4 to
-8, whose Z_n fundamental-domain seed grids grow with n), `find_octahedra`
-at lz = 0.5 with settings seeds 1 and 2 and on a sphere scaled on two
-axes, `find_two_metric_triangle` on the circle and `field-sin-mod`
-(these pin the component-membership decisions of `tracing.near_chain`),
-and `count_squares` on `field-random` seed 0 (a batched multistart on the
-synthetic field's kernel), and prints a SHA-256 prefix of each output followed by the call's label.  An output is
-hashed exactly: arrays by dtype, shape and bytes, floats by their hex
-form, containers and dataclasses field by field (a branch's system by its
-kind).  The CLI calls are hashed by their exit code and the files they
-write, with ``wall_time_ms`` zeroed.  Run it on two checkouts and diff the
-outputs: a change that claims bit-identical results prints the same lines.
+Runs every operation of the `branch-trace` workload at seeds 0, 1 and 2
+and every `count_squares` operation of `square-count` (see perfbench/),
+then `find_square` on the six square-count curves, the raw
+`gauss_newton_batch` zeros on `count_squares`' seed grid for
+fourier-random d10 seed 1 and `cusp` (every converged row, in order, not
+only the deduplicated orbits), `find_rectangle(ellipse, 2,
+cross_check=True)`, `count_special_quads` on the spiral, the ellipse and
+`field-sin-mod`, `edge_ratio_branches` on curves with free symmetry
+orbits (fourier-random d10 seed 1 at n = 4 to 8, whose Z_n
+fundamental-domain seed grids grow with n), `find_octahedra` at lz = 0.5
+with settings seeds 1 and 2 and on a sphere scaled on two axes,
+`find_two_metric_triangle` on the circle and `field-sin-mod` (these pin
+the component-membership decisions of `tracing.near_chain`), and
+`count_squares` on `field-random` seed 0 (a batched multistart on the
+synthetic field's kernel), and prints a SHA-256 prefix of each output
+followed by the call's label. An output is hashed exactly: arrays by
+dtype, shape and bytes, floats by their hex form, containers and
+dataclasses field by field (a branch's system by its kind). The CLI
+calls are hashed by their exit code and the files they write, with
+``wall_time_ms`` zeroed. Run it on two checkouts and diff the outputs: a
+change that claims bit-identical results prints the same lines.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import workloads  # noqa: E402
 
 import pegfinder as pf  # noqa: E402
 from pegfinder.residuals import ResidualSystem  # noqa: E402
+from pegfinder.searches import polygon_seed_grid  # noqa: E402
 
 
 def feed(h, obj):
@@ -76,8 +81,16 @@ def feed(h, obj):
         raise TypeError(f"no exact encoding for {type(obj).__name__}")
 
 
+def square_count_zeros(curve):
+    """count_squares' batched Gauss-Newton zeros, before orbit dedup."""
+    sq = pf.SquareSystem(curve)
+    seeds = polygon_seed_grid(4, 150, 24, sq.symmetry_order)
+    return pf.gauss_newton_batch(sq, seeds, tol=1e-11, prune_after=1, prune_level=0.6)
+
+
 def finder_calls():
-    """(label, call): find_square on the square-count curves, the
+    """(label, call): find_square on the square-count curves, the raw
+    batched Gauss-Newton zeros of two of them on count_squares' grid, the
     rectangle finder with its branch cross-check on the ellipse, the
     special-quadrilateral count on the spiral, the ellipse and a field, the
     edge-ratio components of two curves with free orbits (one
@@ -95,6 +108,12 @@ def finder_calls():
     ]
     curves.append(("cusp", pf.corpus("cusp")))
     calls = [(f"find_square {label}", lambda c=c: pf.find_square(c)) for label, c in curves]
+    for label, c in curves:
+        if label in ("fourier-random d10 seed=1", "cusp"):
+            calls.append((
+                f"gauss_newton_batch square-count grid {label}",
+                lambda c=c: square_count_zeros(c),
+            ))
     ellipse = pf.corpus("ellipse", a=2, b=1)
     calls.append(("find_rectangle ellipse r=2 cross_check", lambda: pf.find_rectangle(ellipse, 2, cross_check=True)))
     spiral = pf.corpus("spiral")
