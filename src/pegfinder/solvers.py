@@ -108,9 +108,9 @@ def _gn_sweeps(system, Z, tol, max_iter, prune_after, prune_level):
     """The sweep loop on one block of seeds: [(sweep, rows converged at it)].
 
     Each sweep runs the block's live rows in contiguous chunks of at most
-    ``_SWEEP_ROWS``, so the sweep temporaries are a chunk's, small enough to
-    stay in the heap and be reused, instead of a block's, which the
-    allocator maps and unmaps on every sweep.
+    ``_SWEEP_ROWS``, so the sweep temporaries are a chunk's: small enough
+    for the allocator to keep in the heap and reuse, where a whole block's
+    would be mapped and unmapped again on every sweep.
     """
     done = []
     for sweep in range(max_iter):
