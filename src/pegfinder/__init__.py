@@ -20,7 +20,6 @@ from .curves import (
     EmbeddedSphere,
     FourierCurve,
     PolylineCurve,
-    chord,
     curve_from_spec,
     self_intersects,
     signed_area,

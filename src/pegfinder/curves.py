@@ -199,12 +199,6 @@ class EmbeddedSphere:
         return {"kind": "scaled-sphere", "scale": self.scale.tolist()}
 
 
-def chord(curve: ClosedCurve, s, t):
-    """Euclidean distance between curve points at parameters s and t."""
-    d = curve.eval(np.asarray(s, dtype=float)) - curve.eval(np.asarray(t, dtype=float))
-    return np.linalg.norm(d, axis=-1)
-
-
 def curve_points(curve: ClosedCurve, n: int = 512):
     return curve.eval(np.arange(n) / n)
 

@@ -85,10 +85,13 @@ class ResidualSystem:
         """Distance from the orbit of z to each point of Z (max norm)."""
         return np.max(np.abs(self.chart_diff(z, Z)), axis=-1)
 
-    def images(self, Z):
+    def images(self, Z, which=None):
         """The relabelings of the chart points Z under the system's symmetry
-        group, stacked on a new leading axis, identity first."""
-        return np.asarray(Z, dtype=float)[None]
+        group, stacked on a new leading axis, identity first.  ``which`` (an
+        index or index array into that axis) builds only the images
+        ``images(Z)[which]`` would give, with their bytes."""
+        Z = np.asarray(Z, dtype=float)[None]
+        return Z if which is None else Z[which]
 
     def linearize(self, z):
         """(F, J): the residual at z and its Jacobian, from one pass.  The
@@ -176,11 +179,14 @@ class PolygonSystem(ResidualSystem):
             return Z
         return self.shift(Z, (self.n // s) * ((s - np.floor(self.star_base_z(Z) * s).astype(int)) % s))
 
-    def images(self, Z):
+    def images(self, Z, which=None):
         """Z shifted by each multiple of n / symmetry_order, on a new leading
-        axis: the equivariant relabelings, identity first."""
+        axis: the equivariant relabelings, identity first (``which`` picks
+        the multiples, as in ``ResidualSystem.images``)."""
         Z = np.asarray(Z, dtype=float)
         k = np.arange(0, self.n, self.n // self.symmetry_order)
+        if which is not None:
+            k = k[which]
         return self.shift(np.broadcast_to(Z, k.shape + Z.shape), k.reshape(k.shape + (1,) * (Z.ndim - 1)))
 
     def orbit_dist(self, Z, z):
@@ -480,19 +486,22 @@ _HELMERT11 /= np.sqrt(np.arange(1, 12) * np.arange(2, 13))[:, None]
 _HELMERT11.setflags(write=False)
 
 
+# the 48 vertex-label permutations preserving the opposite-pair structure,
+# built once at import without listing all 720 permutations: vertex v < 3
+# goes to p[v] or to its opposite p[v] + 3 (bit v of s), and v + 3 to the
+# opposite of that.  Sorted, they are in the order of itertools.permutations
+_OCTAHEDRON_GROUP = tuple(
+    sorted(
+        tuple((p[v % 3] + 3 * ((s >> v % 3 & 1) + v // 3)) % 6 for v in range(6))
+        for p in itertools.permutations(range(3))
+        for s in range(8)
+    )
+)
+
+
 def octahedron_group():
     """The 48 vertex-label permutations preserving the opposite-pair structure."""
-    return [
-        sigma
-        for sigma in itertools.permutations(range(6))
-        if all(sigma[(v + 3) % 6] == (sigma[v] + 3) % 6 for v in range(6))
-    ]
-
-
-def octahedron_edge_permutation(sigma):
-    """Edge index permutation induced by a vertex permutation."""
-    index = {e: k for k, e in enumerate(OCT_EDGES)}
-    return [index[tuple(sorted((sigma[i], sigma[j])))] for i, j in OCT_EDGES]
+    return list(_OCTAHEDRON_GROUP)
 
 
 class OctahedronSystem(ResidualSystem):
@@ -546,15 +555,18 @@ class OctahedronSystem(ResidualSystem):
     def boundary_margins(self, z):
         return self.min_separation(z) - self.fat_diagonal
 
-    def images(self, Z):
+    def images(self, Z, which=None):
         """Z relabeled by each of the 48 label symmetries, identity first,
-        each written straight into its slot of one array."""
+        each written straight into its slot of one array (``which`` picks
+        the symmetries, as in ``ResidualSystem.images``)."""
         Z = np.asarray(Z, dtype=float)
-        group = octahedron_group()
-        out = np.empty((len(group),) + Z.shape)
+        k = np.arange(len(_OCTAHEDRON_GROUP))
+        if which is not None:
+            k = k[which]
+        out = np.empty(k.shape + Z.shape)
         q = self.points(Z)
-        for image, sigma in zip(out, group):
-            _relabel(q, sigma, self.points(image))
+        for image, i in zip(out.reshape((k.size,) + Z.shape), k.ravel()):
+            _relabel(q, _OCTAHEDRON_GROUP[i], self.points(image))
         return out
 
     def apply_label_permutation(self, z, sigma):

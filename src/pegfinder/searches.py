@@ -43,6 +43,10 @@ MAX_SEED_GRID = 10**6  # seeds one polygon_seed_grid may build
 _ORBIT_TOL = 1e-5  # dedup_orbits: zeros this close in orbit distance are one orbit
 _DIAMETER_FLOOR = 1e-3  # find_planar_rhombus: a planar rhombus must be at least this wide
 _OCTAHEDRON_SEEDS = 40  # find_octahedra: random octahedra seeded
+# find_octahedra: chain rows per max_residual block; 48 octahedron rows keep
+# each of linearize's arrays (J is 48 x 17 x 18 floats) under glibc's
+# 128 KiB mmap threshold, so the blocks reuse heap memory
+_RESIDUAL_BLOCK_ROWS = 48
 
 
 # --- seed construction -------------------------------------------------------
@@ -526,7 +530,11 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None):
     per orbit of the 48-element label symmetry group (``_iter_orbits``):
     ``branch_orbit`` gives each traced circle's distinct label images, and
     only closed circles count as components.  On the z-scaled sphere the 16
-    circles form one orbit, so a single trace finds them all.
+    circles form one orbit, so a single trace finds them all.  Each
+    component owns its points (only the kept images are built), and
+    ``info["max_residual"]`` is taken over each component in blocks of at
+    most _RESIDUAL_BLOCK_ROWS rows, so the op's memory stays bounded by the
+    components it returns.
     """
     settings = settings or TraceSettings()
     if sphere.is_round:
@@ -554,15 +562,21 @@ def find_octahedra(sphere: EmbeddedSphere, settings=None):
             components += orbit
     if not components:
         raise SearchFailure("no octahedron circle found from the seed population", {"seeds": _OCTAHEDRON_SEEDS})
-    residuals = [
-        float(np.max(np.linalg.norm(sys.residual(c.points), axis=-1))) for c in components
-    ]
     info = {
         "components": len(components),
         "traced_directly": traced,
-        "max_residual": max(residuals),
+        "max_residual": max(_max_residual(sys, c.points) for c in components),
     }
     return components, info
+
+
+def _max_residual(system, points):
+    """The largest residual norm over the chain points, taken in even blocks
+    of at most _RESIDUAL_BLOCK_ROWS rows.  No block has one row unless the
+    chain does: a one-row residual takes the matmul's vector path, whose
+    bits differ from the batched rows'."""
+    blocks = np.array_split(points, -(-len(points) // _RESIDUAL_BLOCK_ROWS))
+    return float(np.max([np.max(np.linalg.norm(system.residual(b), axis=-1)) for b in blocks]))
 
 
 # --- edge-regular families -------------------------------------------------------

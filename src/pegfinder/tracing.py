@@ -30,7 +30,7 @@ from .solvers import refine
 
 _RANK_TOL = 1e-8
 _MIN_STEP = 1e-9
-_NEAR_BLOCK_ROWS = 2**14  # (query x sample) rows per near_chain block
+_NEAR_BLOCK_VALUES = 2**16  # (query x sample x coordinate) values per near_chain block
 _WRAP_JUMP2 = 0.25  # a chain segment this long (squared) is a wrap, not a step
 _REACH_SLACK = 1e-9  # absorbs the rounding of near_chain's reach bound
 _DEFINITE = 1e-9  # |event value| below this has no sign
@@ -138,17 +138,17 @@ def near_chain(system, chain, Q, tol):
     (the slack covers the rounding, there and in the reach).  Only the
     points in between are projected, by the same ``_segment_dists`` as
     ``chain_distance``, so every decision is the one the full projection
-    makes.  The work runs in blocks of at most _NEAR_BLOCK_ROWS (query x
-    sample) rows.
+    makes.  The work runs in blocks of at most _NEAR_BLOCK_VALUES (query x
+    sample x coordinate) values, or of one query where a query alone holds
+    more.
     """
     Q = np.asarray(Q, dtype=float)
-    S = chain.shape[0]
     near = np.zeros(len(Q), dtype=bool)
     seg = system.chart_diff(chain[1:], chain[:-1])
     seg_len2 = np.sum(seg * seg, axis=-1)
     longest2 = seg_len2[seg_len2 < _WRAP_JUMP2 + _REACH_SLACK].max(initial=0.0)
     reach = tol + 0.5 * math.sqrt(longest2) + _REACH_SLACK
-    step = max(1, _NEAR_BLOCK_ROWS // S)
+    step = max(1, _NEAR_BLOCK_VALUES // chain.size)
     for start in range(0, len(Q), step):
         block = Q[start : start + step]
         rel = system.chart_diff(chain[None], block[:, None])
@@ -372,24 +372,27 @@ def branch_orbit(branch):
 
     Components are disjoint or equal, so one point decides: an image is
     kept unless its first point lies within MEMBERSHIP_TOL of a member kept
-    before it, one ``near_chain`` mask per kept member.  The members are
+    before it, one ``near_chain`` mask per kept member.  Only the first
+    point is relabeled by every symmetry; a member's whole chain is built
+    (``images(points, k)``, the bytes of ``images(points)[k]``) once it is
+    kept, so each member owns its points.  The members are
     then one per coset of the branch's stabilizer, so on a closed branch of
     a system with symmetry_order > 1 every member's isotropy_order is
     len(images) // len(orbit) (set on the branch itself too); on other
     branches it stays None.
     """
     system = branch.system
-    images = system.images(branch.points)
-    keep = np.ones(len(images), dtype=bool)
-    for k in range(len(images)):
+    firsts = system.images(branch.points[0])
+    keep = np.ones(len(firsts), dtype=bool)
+    chains = {}
+    for k in range(len(firsts)):
         if keep[k]:
-            chain = branch.points if k == 0 else images[k]
+            chains[k] = branch.points if k == 0 else system.images(branch.points, k)
             later = k + 1 + np.flatnonzero(keep[k + 1 :])
-            keep[later] = ~near_chain(system, chain, images[later, 0], MEMBERSHIP_TOL)
-    kept = np.flatnonzero(keep)
+            keep[later] = ~near_chain(system, chains[k], firsts[later], MEMBERSHIP_TOL)
     if branch.closed and system.symmetry_order > 1:
-        branch.isotropy_order = len(images) // len(kept)
-    return [(0, branch)] + [(int(k), image_branch(branch, images[k])) for k in kept[1:]]
+        branch.isotropy_order = len(firsts) // len(chains)
+    return [(0, branch)] + [(k, image_branch(branch, points)) for k, points in chains.items() if k]
 
 
 def image_branch(branch, points):

@@ -16,6 +16,7 @@ from pegfinder import (
     branch_orbit,
     corpus,
     count_special_quads,
+    find_octahedra,
     refine,
     trace_branch,
     winding_number,
@@ -24,8 +25,9 @@ from pegfinder.polygons import from_vertices
 from pegfinder.solvers import gauss_newton_batch
 from pegfinder.residuals import central_difference
 from pegfinder.tracing import (
-    _NEAR_BLOCK_ROWS,
+    _NEAR_BLOCK_VALUES,
     CLOSURE_TOL,
+    MEMBERSHIP_TOL,
     Branch,
     PerturbedSystem,
     _correct,
@@ -162,6 +164,54 @@ def test_isotropy_full_on_invariant_branches(circle, ellipse, settings):
         br = trace_branch(sys, z0, settings)
         assert br.closed
         assert [(k, b.isotropy_order) for k, b in branch_orbit(br)] == [(0, n)]
+
+
+def _stacked_branch_orbit(branch):
+    """Reference: branch_orbit's kept indices and isotropy, decided on the
+    full stack of images, and that stack."""
+    system = branch.system
+    images = system.images(branch.points)
+    keep = np.ones(len(images), dtype=bool)
+    for k in range(len(images)):
+        if keep[k]:
+            chain = branch.points if k == 0 else images[k]
+            later = k + 1 + np.flatnonzero(keep[k + 1 :])
+            keep[later] = ~near_chain(system, chain, images[later, 0], MEMBERSHIP_TOL)
+    kept = np.flatnonzero(keep).tolist()
+    iso = len(images) // len(kept) if branch.closed and system.symmetry_order > 1 else branch.isotropy_order
+    return kept, iso, images
+
+
+@pytest.mark.parametrize("subject", ["octahedron", "edge-ratio n=5", "rectangle"])
+def test_branch_orbit_builds_the_stacked_images_bytes(subject, ellipse, settings):
+    # only the first point is relabeled by every symmetry and the kept
+    # members' chains one at a time: the kept indices, isotropy orders and
+    # member bytes are those of the full stack of images
+    if subject == "octahedron":
+        (br, *_), _ = find_octahedra(corpus("scaled-sphere", lz=0.5))
+    elif subject == "rectangle":
+        sys = RectangleSystem(ellipse)
+        t1 = np.arctan(2) / (2 * np.pi)
+        br = trace_branch(sys, sys.from_param(from_vertices([t1, 0.5 - t1, 0.5 + t1, 1 - t1])), settings)
+    else:
+        sys = EdgeRatioSystem(ellipse, 5)
+        br = trace_branch(sys, np.concatenate([[0.02], np.full(4, 0.2) + 1e-3 * np.arange(4)]), settings)
+    kept, iso, images = _stacked_branch_orbit(br)
+    system = br.system
+    assert system.images(br.points[0]).tobytes() == images[:, 0].tobytes()
+    assert system.images(br.points, kept).tobytes() == images[kept].tobytes()
+    orbit = branch_orbit(br)
+    assert [k for k, _ in orbit] == kept
+    assert [m.isotropy_order for _, m in orbit] == [iso] * len(kept)
+    assert orbit[0][1] is br
+    for k, member in orbit[1:]:
+        assert member.points.shape == images[k].shape
+        assert member.points.tobytes() == images[k].tobytes()
+        assert member.points.base is None  # owns its points: no stack stays alive
+    if subject == "octahedron":
+        assert len(kept) == 16
+    elif subject == "rectangle":
+        assert len(kept) > 1 and iso is None
 
 
 def test_bisected_event_location_is_on_zero_set(ellipse, settings):
@@ -315,10 +365,10 @@ def test_near_chain_is_the_scalar_chain_distance_test(ellipse, settings, rng):
     S = len(chain)
     # perturbed samples, half of them with the base shifted by +-1 (one
     # more than a block holds, so the mask spans several blocks)
-    B = _NEAR_BLOCK_ROWS // S + 7
+    B = _NEAR_BLOCK_VALUES // chain.size + 7
     Q = chain[rng.integers(0, S, B)] + rng.normal(scale=0.02, size=(B, 4))
     Q[::2, 0] += rng.choice([-1.0, 1.0], size=len(Q[::2]))
-    assert B * S > _NEAR_BLOCK_ROWS
+    assert B * chain.size > _NEAR_BLOCK_VALUES
     near = _near_chain_matches_reference(sys, chain, Q, 0.02)
     assert 0 < near.sum() < B
     # just off segment midpoints: no sample is within tol, only the
@@ -369,7 +419,7 @@ def test_near_chain_on_an_octahedron_component(monkeypatch):
     # octahedron charts have no circle coordinates; every query of
     # find_octahedra is decided by its nearest sample, so no row is
     # projected onto the segments
-    from pegfinder import find_octahedra, tracing
+    from pegfinder import tracing
 
     rows = []
     projection = tracing._segment_dists

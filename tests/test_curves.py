@@ -13,7 +13,6 @@ from pegfinder import (
     FourierCurve,
     PolylineCurve,
     SyntheticField,
-    chord,
     corpus,
     curve_from_spec,
     self_intersects,
@@ -22,6 +21,13 @@ from pegfinder import (
 from pegfinder.corpus import corpus_list
 from pegfinder.curves import _encloses_area
 from pegfinder.fields import as_field
+
+
+def chord(curve, s, t):
+    """Reference: Euclidean distance between curve points at parameters s
+    and t, straight from ``curve.eval``."""
+    d = curve.eval(np.asarray(s, dtype=float)) - curve.eval(np.asarray(t, dtype=float))
+    return np.linalg.norm(d, axis=-1)
 
 
 def test_circle_parametrization(circle):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,6 @@ from pegfinder.residuals import (
     QUAD_EDGES,
     QUAD_PAIRS,
     ResidualSystem,
-    octahedron_edge_permutation,
 )
 from pegfinder.searches import _PlanarRhombusSystem
 from pegfinder.tracing import PerturbedSystem
@@ -42,6 +42,12 @@ def cyclic_shift(p, k=1):
     k = k % p.n
     cum = np.concatenate([[0.0], np.cumsum(p.gaps[:-1])])
     return PolygonParam(p.base + cum[k], np.roll(p.gaps, -k))
+
+
+def octahedron_edge_permutation(sigma):
+    """Reference: the edge index permutation induced by a vertex permutation."""
+    index = {e: k for k, e in enumerate(OCT_EDGES)}
+    return [index[tuple(sorted((sigma[i], sigma[j])))] for i, j in OCT_EDGES]
 
 
 def param_dist(p, q):
@@ -315,6 +321,13 @@ def test_octahedron_rotation_invariance(rng):
 
 def test_octahedron_group_structure():
     G = octahedron_group()
+    # the relabelings preserving the opposite pairs (v, v + 3), in the
+    # order of itertools.permutations: image k of OctahedronSystem.images
+    assert G == [
+        sigma
+        for sigma in itertools.permutations(range(6))
+        if all(sigma[(v + 3) % 6] == (sigma[v] + 3) % 6 for v in range(6))
+    ]
     assert len(G) == 48
     for sigma in G[:8]:
         perm = octahedron_edge_permutation(sigma)

@@ -239,6 +239,44 @@ def test_octahedra_scaled_sphere_sixteen_circles():
         assert min(chain_distance(sys, c.points, q) for q in images) < 2e-2
 
 
+def test_find_octahedra_runs_in_bounded_memory():
+    # only the kept label images are built and each component owns its
+    # points; the residual check runs in heap-sized blocks.  The stack of
+    # all 48 images of the 920-sample chain alone is 6.1 MB
+    sph = corpus("scaled-sphere", lz=0.5)
+    find_octahedra(sph, TraceSettings(seed=0))  # warm-up: no first-call allocation counts
+    tracemalloc.start()
+    try:
+        comps, info = find_octahedra(sph, TraceSettings(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["components"] == 16
+    assert peak < 6e6
+    assert all(c.points.base is None or c.points.base.nbytes <= c.points.nbytes for c in comps)
+
+
+@pytest.fixture(scope="module")
+def octahedron_points():
+    sph = corpus("scaled-sphere", lz=0.5)
+    comps, _ = find_octahedra(sph, TraceSettings(seed=0))
+    return OctahedronSystem(sph), np.concatenate([c.points for c in comps])
+
+
+@pytest.mark.parametrize("rows", [2, 47, 48, 49, 97, 920])
+def test_blocked_max_residual_is_the_whole_chain_value(octahedron_points, rows):
+    # 49 and 97 rows leave a remainder of one row over 48-row blocks, and
+    # the largest residual sits in that last row: a one-row block computes
+    # it with other bits (the matmul's vector path).  The blocks are split
+    # evenly, so none has one row and the value is the whole chain's
+    sys, points = octahedron_points
+    order = np.argsort(np.linalg.norm(sys.residual(points), axis=-1))
+    chain = points[np.append(order[: rows - 1], order[-1])]
+    whole = float(np.max(np.linalg.norm(sys.residual(chain), axis=-1)))
+    assert searches._RESIDUAL_BLOCK_ROWS == 48
+    assert searches._max_residual(sys, chain) == whole
+
+
 def test_octahedra_round_sphere_rejected():
     with pytest.raises(NonIsolatedSolutionsError):
         find_octahedra(corpus("scaled-sphere", lx=1.0, ly=1.0, lz=1.0))
