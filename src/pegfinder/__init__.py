@@ -7,7 +7,7 @@ continuation of the corresponding residual systems.
 """
 
 from .circle import circle_dist, wrap
-from .corpus import corpus, corpus_list
+from .corpus import corpus, corpus_list, from_spec
 from .counting import (
     CountReport,
     classify_rectangle_components,
@@ -20,7 +20,6 @@ from .curves import (
     EmbeddedSphere,
     FourierCurve,
     PolylineCurve,
-    curve_from_spec,
     self_intersects,
     signed_area,
 )
@@ -34,7 +33,7 @@ from .errors import (
     SearchFailure,
     UnknownCorpusError,
 )
-from .fields import ChordalField, DistanceField, SyntheticField, field_from_spec
+from .fields import ChordalField, DistanceField, SyntheticField
 from .polygons import PolygonParam, from_vertices, vertices
 from .residuals import (
     EdgeRatioSystem,
@@ -60,6 +59,6 @@ from .searches import (
     winding_sum,
 )
 from .solvers import gauss_newton_batch, refine
-from .tracing import Branch, Event, TraceSettings, branch_events, branch_orbit, trace_branch, winding_number
+from .tracing import Branch, Event, TraceSettings, branch_events, branch_orbit, trace_branch
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: find-square, find-rect, find-ngon, count-special, triangle,
-knot-rhombus, octahedra, corpus-list.  Common flags: --curve FILE or
---corpus NAME (plus corpus parameters like --a/--b/--degree), --seed,
---tol, --json OUT, --svg OUT.  triangle takes --tol only with --field2:
-the one-field triangle search reads no tolerance.
+knot-rhombus, octahedra, corpus-list.  Common flags: --curve FILE (any
+spec, see ``corpus.from_spec``) or --corpus NAME (plus corpus parameters
+like --a/--b/--degree), --seed (of seeded corpus entries and the octahedra
+population), --tol, --json OUT, --svg OUT.  triangle takes --tol only with
+--field2 (a distance field spec): the one-field search reads no tolerance.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics in the JSON
 document when requested), 2 usage error (bad flags, unreadable or invalid
@@ -22,11 +23,11 @@ import time
 import numpy as np
 
 from .corpus import corpus as corpus_build
-from .corpus import corpus_list
+from .corpus import corpus_list, from_spec
 from .counting import count_special_quads
-from .curves import ClosedCurve, EmbeddedSphere, curve_from_spec
+from .curves import ClosedCurve, EmbeddedSphere
 from .errors import DomainError, PegfinderError
-from .fields import DistanceField, field_from_spec
+from .fields import DistanceField
 from .polygons import vertices
 from .report import ResultDocument, branch_dict, dumps
 from .searches import (
@@ -44,9 +45,9 @@ from .tracing import TraceSettings
 
 
 def _common(parser):
-    parser.add_argument("--curve", help="curve/field spec file (JSON)")
+    parser.add_argument("--curve", help="curve, field or sphere spec file (JSON)")
     parser.add_argument("--corpus", help="corpus entry name (see corpus-list)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="seeds seeded corpus entries and the octahedra population")
     default_tol = TraceSettings.corrector_tol
     parser.add_argument("--tol", type=float, help=f"corrector tolerance (default {default_tol:g})")
     parser.add_argument("--json", dest="json_out", metavar="OUT.json")
@@ -113,10 +114,7 @@ def _read_spec(path):
 
 def _load_subject(args, params):
     if args.curve:
-        spec = _read_spec(args.curve)
-        if spec["kind"].endswith("field") or spec["kind"] == "chordal":
-            return field_from_spec(spec)
-        return curve_from_spec(spec)
+        return from_spec(_read_spec(args.curve))
     if args.corpus:
         if "seed" not in params and args.seed:
             try:
@@ -159,7 +157,9 @@ def main(argv=None) -> int:
         tol = TraceSettings.corrector_tol if args.tol is None else args.tol
         settings = TraceSettings(corrector_tol=tol, seed=args.seed)
         subject = _load_subject(args, params)
-        field2 = field_from_spec(_read_spec(args.field2)) if getattr(args, "field2", None) else None
+        field2 = from_spec(_read_spec(args.field2)) if getattr(args, "field2", None) else None
+        if field2 is not None and not isinstance(field2, DistanceField):
+            raise DomainError(f"--field2 needs a distance field; kind {field2.spec()['kind']!r} is not one")
         if getattr(args, "ratios", None):
             args.ratios = [float(x) for x in args.ratios.split(",")]
     except (OSError, ValueError, TypeError, KeyError, PegfinderError) as err:

@@ -2,7 +2,7 @@
 
 Every entry is deterministic given (name, params, seed).  The JSON spec of a
 corpus object records the name and parameters, so corpus objects round-trip
-through curve spec files.
+through curve spec files; ``from_spec`` is the one loader of every spec.
 """
 
 from __future__ import annotations
@@ -40,6 +40,23 @@ def corpus(name, **params):
         merged["dim"] = base_spec["dim"]
     obj.spec = lambda merged=merged: dict(merged)
     return obj
+
+
+def from_spec(spec: dict):
+    """Rebuild a curve, distance field or sphere from its JSON spec (the
+    inverse of ``.spec()``): a ``fourier``, ``polyline``, ``chordal`` or
+    ``synthetic-field`` spec, or a corpus entry with its parameters."""
+    kind = spec.get("kind")
+    if kind == "fourier":
+        return FourierCurve(spec["const"], spec["cos"], spec["sin"])
+    if kind == "polyline":
+        return PolylineCurve(spec["vertices"])
+    if kind == "chordal":
+        return ChordalField(from_spec(spec["curve"]))
+    if kind == "synthetic-field":
+        return SyntheticField(spec.get("c0", 1.0), spec.get("ps", ()), spec.get("qs", ()), spec.get("rs", ()))
+    # "dim" is stamped on a corpus curve's spec, not one of its parameters
+    return corpus(kind, **{k: v for k, v in spec.items() if k not in ("kind", "dim")})
 
 
 def corpus_list():

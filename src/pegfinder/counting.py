@@ -209,10 +209,8 @@ def classify_rectangle_components(curve: ClosedCurve, settings=None, square_repo
             "excluded from the per-component parity bookkeeping"
         )
     total_squares = sum(c["square_events"] for c in components)
-    iso_breakdown = {1: 0, 2: 0, 4: 0}
     iso_square_sums = {1: 0, 2: 0, 4: 0}
     for c in closed:
-        iso_breakdown[c["isotropy"]] += 1
         iso_square_sums[c["isotropy"]] += c["square_events"]
     verdicts = {
         "every_closed_component_even": all(c["square_events"] % 2 == 0 for c in closed),

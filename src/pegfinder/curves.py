@@ -241,17 +241,3 @@ def signed_area(curve: ClosedCurve, n: int = 512) -> float:
     pts = curve_points(curve, n)[:, :2]
     x, y = pts[:, 0], pts[:, 1]
     return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def curve_from_spec(spec: dict) -> ClosedCurve:
-    """Rebuild a curve from its JSON spec (inverse of .spec())."""
-    kind = spec.get("kind")
-    if kind == "fourier":
-        return FourierCurve(spec["const"], spec["cos"], spec["sin"])
-    if kind == "polyline":
-        return PolylineCurve(spec["vertices"])
-    # corpus-style specs carry their construction parameters
-    from .corpus import corpus as _corpus_build
-
-    params = {k: v for k, v in spec.items() if k not in ("kind", "dim")}
-    return _corpus_build(kind, **params)

@@ -6,7 +6,11 @@ class PegfinderError(Exception):
 
 
 class UnknownCorpusError(PegfinderError, KeyError):
-    """Requested corpus entry does not exist."""
+    """Requested corpus entry does not exist; the entry is ``args[0]``."""
+
+    def __str__(self):
+        # a KeyError prints the repr of its key; this one prints a message
+        return f"unknown corpus entry {self.args[0]!r}; pegfinder corpus-list lists them"
 
 
 class DomainError(PegfinderError, ValueError):

@@ -8,8 +8,7 @@ curves and synthetic fields share one path.
 
 Two sources:
 
-* ``ChordalField`` -- pull back chord lengths of an embedded curve; its
-  ``pair_dists`` reads positions only, with the kernel's bytes.
+* ``ChordalField`` -- pull back chord lengths of an embedded curve.
 * ``SyntheticField`` -- 2|sin(pi(x-y))| times a trigonometric modulation in
   (x+y) and (x-y).  The |sin| factor makes d(x, x) = 0 structural; the
   modulation is symmetric in x and y and must stay positive on a
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import ClosedCurve, curve_from_spec
+from .curves import ClosedCurve
 from .errors import DomainError
 
 GRID = 200  # diagnostic grid resolution for the definiteness check
@@ -111,14 +110,9 @@ class DistanceField:
 
 class ChordalField(DistanceField):
     def __init__(self, curve: ClosedCurve):
+        if not isinstance(curve, ClosedCurve):
+            raise DomainError(f"a chordal field needs a curve, not a {type(curve).__name__}")
         self.curve = curve
-
-    def pair_dists(self, V, pairs):
-        """Chord lengths from positions alone: the kernel's first part, bit
-        for bit, at a third of its curve evaluations."""
-        P = self.curve.eval(V)
-        _, i, j = _pair_index(pairs)
-        return _coord_norm(P[..., i, :] - P[..., j, :])
 
     def pair_dists_and_grad(self, V, pairs):
         """Chord lengths and their gradients from one evaluation of each
@@ -196,18 +190,3 @@ def as_field(source) -> DistanceField:
     if not isinstance(source, DistanceField):
         raise DomainError("need a curve or a distance field")
     return source
-
-
-def field_from_spec(spec: dict) -> DistanceField:
-    kind = spec.get("kind")
-    if kind == "chordal":
-        return ChordalField(curve_from_spec(spec["curve"]))
-    if kind == "synthetic-field":
-        return SyntheticField(spec.get("c0", 1.0), spec.get("ps", ()), spec.get("qs", ()), spec.get("rs", ()))
-    from .corpus import corpus as _corpus_build
-
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    obj = _corpus_build(kind, **params)
-    if not isinstance(obj, DistanceField):
-        raise DomainError(f"spec {kind!r} is not a distance field")
-    return obj

@@ -115,7 +115,3 @@ def _emit(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     return json.dumps(obj)
-
-
-def loads(text: str):
-    return json.loads(text)

@@ -109,9 +109,6 @@ class ResidualSystem:
         """Batched distance to the domain boundary, shape z.shape[:-1]."""
         return np.full(np.shape(z)[:-1], np.inf)
 
-    def numeric_jacobian(self, z, step=1e-6):
-        return central_difference(self.residual, z, step)
-
 
 class PolygonSystem(ResidualSystem):
     """Residual mix @ d(pairs) on the P_n chart over a curve or distance field.
@@ -567,12 +564,6 @@ class OctahedronSystem(ResidualSystem):
         q = self.points(Z)
         for image, i in zip(out.reshape((k.size,) + Z.shape), k.ravel()):
             _relabel(q, _OCTAHEDRON_GROUP[i], self.points(image))
-        return out
-
-    def apply_label_permutation(self, z, sigma):
-        z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        _relabel(self.points(z), sigma, self.points(out))
         return out
 
 

@@ -117,18 +117,9 @@ def _segment_dists(rel):
     return np.where(valid, seg_d, np.inf)
 
 
-def chain_distance(system, chain, q):
-    """Distance from point q to the sampled chain (with segment projection)."""
-    rel = system.chart_diff(chain, q)
-    point_d = np.linalg.norm(rel, axis=-1)
-    if chain.shape[0] < 2:
-        return float(np.min(point_d))
-    return float(min(np.min(point_d), np.min(_segment_dists(rel))))
-
-
 def near_chain(system, chain, Q, tol):
-    """Mask of the points Q (B, d) with ``chain_distance(system, chain, q) <
-    tol``, decided with the same arithmetic.
+    """Mask of the points Q (B, d) within tol of the sampled chain: of one of
+    its samples, or of one of its segments by projection (``_segment_dists``).
 
     A point within tol of a sample is near.  Every point of a segment lies
     within half the segment's length of one of its ends, so a point whose
@@ -136,11 +127,10 @@ def near_chain(system, chain, Q, tol):
     away is within tol of no segment, and is not near; ``longest`` is the
     longest chain segment that ``_segment_dists`` does not skip as a wrap
     (the slack covers the rounding, there and in the reach).  Only the
-    points in between are projected, by the same ``_segment_dists`` as
-    ``chain_distance``, so every decision is the one the full projection
-    makes.  The work runs in blocks of at most _NEAR_BLOCK_VALUES (query x
-    sample x coordinate) values, or of one query where a query alone holds
-    more.
+    points in between are projected, so every decision is the one the full
+    projection makes.  The work runs in blocks of at most _NEAR_BLOCK_VALUES
+    (query x sample x coordinate) values, or of one query where a query
+    alone holds more.
     """
     Q = np.asarray(Q, dtype=float)
     near = np.zeros(len(Q), dtype=bool)
@@ -164,14 +154,15 @@ def near_chain(system, chain, Q, tol):
 
 
 def _tangent(J, prev=None):
-    """Unit null vector of the Jacobian J; returns (tangent, deficient flag)."""
+    """Unit null vector of the Jacobian J, oriented along prev; on a
+    rank-deficient J, the null direction nearest prev, or without prev the
+    one that moves the shape coordinates most."""
     U, S, Vt = np.linalg.svd(J)
     rank = np.count_nonzero(S > _RANK_TOL * S[0]) if S[0] > 0 else 0
     null = Vt[rank:]
-    deficient = null.shape[0] > 1
     if null.shape[0] == 0:
         raise ConvergenceError("Jacobian has no null direction; zero set is not a curve here")
-    if not deficient:
+    if null.shape[0] == 1:
         tau = null[0]
     elif prev is not None:
         coeff = null @ prev
@@ -193,7 +184,7 @@ def _tangent(J, prev=None):
         lead = int(np.argmax(np.abs(tau)))
         if tau[lead] < 0:
             tau = -tau
-    return tau, deficient
+    return tau
 
 
 def _correct(system, pred, tau, tol, max_iter=25):
@@ -273,7 +264,7 @@ def _trace_direction(system, z0, tau0, settings):
                     return samples, "closed"
         prev_side = side if len(samples) > 3 else 0.0
         try:
-            tau, _ = _tangent(J, prev=tau)
+            tau = _tangent(J, prev=tau)
         except ConvergenceError:
             return samples, "stalled"
         z = w
@@ -333,18 +324,14 @@ def trace_branch(system, z0, settings=None):
 
     Open branches are extended in both directions so the whole component
     between boundary hits is returned; their ends are recorded as
-    ``boundary_approach`` events.  Sign changes of other functions along the
-    branch are a separate step: ``branch_events``.
+    ``boundary_approach`` events.  The branch always lives on ``system``: a
+    direction that cannot go on ends ``stalled``.  Sign changes of other
+    functions along the branch are a separate step: ``branch_events``.
     """
     settings = settings or TraceSettings()
     z0 = refine(system, np.asarray(z0, dtype=float), tol=settings.corrector_tol)
-    tau0, deficient = _tangent(system.jacobian(z0))
+    tau0 = _tangent(system.jacobian(z0))
     fwd, term = _trace_direction(system, z0, tau0, settings)
-    if term == "stalled" and deficient and not isinstance(system, PerturbedSystem):
-        # symmetric family stalled the tracer: retry with the boundary-decaying
-        # transversality perturbation switched on
-        perturbed = PerturbedSystem(system, seed=settings.seed)
-        return trace_branch(perturbed, z0, settings)
     if term == "closed":
         points, termination, closed = np.array(fwd), "closed", True
     else:
@@ -437,13 +424,6 @@ def _orientation(system, points):
     return -1 if det < 0 else 1
 
 
-def winding_number(branch: Branch) -> int:
-    """Degree of the star-base coordinate around a closed branch."""
-    if not branch.closed:
-        raise ConvergenceError("winding number requires a closed branch")
-    return _winding(branch.system, branch.points)
-
-
 def branch_events(branch, fn, kind, settings):
     """Yield the sign changes of fn along the branch as ``Event(kind, ...)``
     in increasing sample index, each bisected on ``branch.system`` only when
@@ -487,15 +467,14 @@ def _bisect_event(system, za, zb, fn, settings, tol=1e-10):
 class PerturbedSystem(ResidualSystem):
     """Residual plus a boundary-decaying deterministic pseudo-random field.
 
-    Breaks rank deficiency along symmetric families so the tracer can
-    proceed; the magnitude delta * boundary_margins(z) vanishes at the chart
-    boundary, leaving the exact zeros of symmetric corpus curves untouched
-    whenever the unperturbed trace succeeds (the wrapper is only engaged
-    after a stall).  Every ``ResidualSystem`` method binds to the perturbed
-    residual.  The chart declarations are copied from the base (class
-    defaults on ``ResidualSystem`` would shadow forwarding), other chart
-    attributes (``to_param``, ``star_base_z``, ...) are forwarded.  The
-    perturbation is not equivariant: ``symmetry_order`` is 1.
+    Breaks rank deficiency along symmetric families; the magnitude
+    delta * boundary_margins(z) vanishes at the chart boundary.  No finder
+    uses it (``perfbench/tracer.py`` imports it).  Every ``ResidualSystem``
+    method binds to the perturbed residual.  The chart declarations are
+    copied from the base (class defaults on ``ResidualSystem`` would shadow
+    forwarding), other chart attributes (``to_param``, ``star_base_z``, ...)
+    are forwarded.  The perturbation is not equivariant: ``symmetry_order``
+    is 1.
     """
 
     def __init__(self, base, delta=1e-7, seed=0):

@@ -219,11 +219,9 @@ def test_criterion_10_octahedra():
     # plus group-equivariance of the found set
     L = sys.edge_lengths(comps[0].points[0])
     one_good = np.max(L) - np.min(L) < 1e-8
-    from pegfinder import octahedron_group
-    from pegfinder.tracing import chain_distance
+    from references import chain_distance
 
-    sigma = octahedron_group()[7]
-    pts = sys.apply_label_permutation(comps[0].points, sigma)
+    pts = sys.images(comps[0].points, 7)
     equivariant = min(chain_distance(sys, c.points, pts[0]) for c in comps) < 2e-2
     ok = (full_count or (one_good and equivariant)) and elapsed < 300.0
     level = "full 16 components" if full_count else "downgraded (>=1 component + equivariance)"

@@ -19,7 +19,6 @@ from pegfinder import (
     find_octahedra,
     refine,
     trace_branch,
-    winding_number,
 )
 from pegfinder.polygons import from_vertices
 from pegfinder.solvers import gauss_newton_batch
@@ -32,9 +31,9 @@ from pegfinder.tracing import (
     PerturbedSystem,
     _correct,
     _tangent,
-    chain_distance,
     near_chain,
 )
+from references import chain_distance
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +92,6 @@ def test_trace_circle_rhombus_family(circle, settings):
     assert br.closed
     assert abs(br.winding) == 1
     assert [(k, b.isotropy_order) for k, b in branch_orbit(br)] == [(0, 4)]
-    assert winding_number(br) in (1, -1)
     # the circle family is entirely squares: no diagonal swap events
     assert not list(branch_events(br, sys.diagonal_gap, "diagonal_swap", settings))
 
@@ -110,14 +108,12 @@ def test_trace_ellipse_rhombus_events_hit_known_square(ellipse, settings):
         assert sys.orbit_dist(sys.from_param(expected), ev.z) < 1e-6
 
 
-def test_winding_number_requires_closed(ellipse, settings):
+def test_open_rectangle_branch_has_no_winding(ellipse, settings):
     sys = RectangleSystem(ellipse)
     t1 = np.arctan(2) / (2 * np.pi)
     z0 = sys.from_param(from_vertices([t1, 0.5 - t1, 0.5 + t1, 1 - t1]))
     br = trace_branch(sys, z0, settings)
-    assert not br.closed
-    with pytest.raises(ConvergenceError):
-        winding_number(br)
+    assert not br.closed and br.winding is None
     # exactly one square on the open arc, boundary hits at both ends
     squares = branch_events(br, sys.fatness, "square_on_branch", settings)
     kinds = [e.kind for e in [*squares, *br.events]]
@@ -283,8 +279,8 @@ def test_perturbed_system_owns_its_derivatives(ellipse):
     assert np.array_equal(F, pert.residual(z))
     assert np.array_equal(J, pert.jacobian(z))
     assert not np.array_equal(pert.jacobian(z), sq.jacobian(z))
-    # inherited ResidualSystem methods see the perturbed residual, too
-    assert np.max(np.abs(pert.numeric_jacobian(z) - pert.jacobian(z))) < 1e-7
+    # and J is the derivative of the perturbed residual
+    assert np.max(np.abs(central_difference(pert.residual, z, 1e-6) - pert.jacobian(z))) < 1e-7
     assert pert.boundary_margins(z) == sq.boundary_margins(z)
 
 
@@ -310,7 +306,7 @@ def test_corrector_returns_jacobian_at_its_point(ellipse, settings):
     sys = EdgeRatioSystem(ellipse, 4)
     br = trace_branch(sys, np.array([0.05, 0.26, 0.24, 0.25]), settings)
     z = br.points[len(br) // 2]
-    tau, _ = _tangent(sys.jacobian(z))
+    tau = _tangent(sys.jacobian(z))
     w, J = _correct(sys, z + 1e-3 * tau, tau, settings.corrector_tol)
     assert np.linalg.norm(sys.residual(w)) <= settings.corrector_tol
     assert np.array_equal(J, sys.jacobian(w))
@@ -350,6 +346,7 @@ def test_chain_distance_wraps_base(circle, settings):
     br = trace_branch(sys, np.array([0.0, 0.251, 0.25, 0.252]), settings)
     probe = np.array([0.999, 0.25, 0.25, 0.25])
     assert chain_distance(sys, br.points, probe) < 1e-3
+    assert near_chain(sys, br.points, probe[None], 1e-3).all()
 
 
 def _near_chain_matches_reference(sys, chain, Q, tol):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegfinder import (
+    ChordalField,
+    ClosedCurve,
     DistanceField,
     DomainError,
     EmbeddedSphere,
@@ -14,7 +16,7 @@ from pegfinder import (
     PolylineCurve,
     SyntheticField,
     corpus,
-    curve_from_spec,
+    from_spec,
     self_intersects,
     signed_area,
 )
@@ -215,8 +217,8 @@ def test_chordal_pair_dists_match_generic_path(name, params):
     assert np.allclose(G, ref.pair_dists_and_grad(V, pairs)[1], rtol=1e-9, atol=1e-12)
     # the base class part d, one pair broadcast, on the reference
     assert np.allclose(f.d(V[:, 0], V[:, 2]), ref.d(V[:, 0], V[:, 2]), rtol=1e-14, atol=0)
-    # the chordal pair_dists evaluates positions only; it must return the
-    # bytes of the kernel's first part, for one point and for a batch
+    # pair_dists is the kernel's first part (the chordal field writes no
+    # override of it): its bytes, for one point and for a batch
     for V in (rng.uniform(size=4), rng.uniform(size=(30, 4)), rng.uniform(size=(1000, 4))):
         got = f.pair_dists(V, pairs)
         want = f.pair_dists_and_grad(V, pairs)[0]
@@ -327,9 +329,38 @@ def test_curve_spec_roundtrip(rng):
     ]:
         cu = corpus(name, **params)
         spec = cu.spec()
-        rebuilt = curve_from_spec(json.loads(json.dumps(spec)))
+        rebuilt = from_spec(json.loads(json.dumps(spec)))
         t = rng.uniform(size=16)
         assert np.allclose(cu.eval(t), rebuilt.eval(t), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [corpus(name) for name, _ in corpus_list()]
+    + [
+        FourierCurve([0.1, -0.2], [[1.0, 0.1], [0.0, 0.2]], [[0.0, -0.1], [0.7, 0.05]]),
+        PolylineCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        ChordalField(corpus("fourier-random", seed=3)),
+        SyntheticField(c0=1.0, ps=[0.1], qs=[-0.05, 0.02], rs=[0.03]),
+    ],
+    ids=lambda obj: obj.spec()["kind"],
+)
+def test_from_spec_round_trips_every_spec(obj):
+    # one loader for curves, fields and spheres: the rebuilt object has the
+    # same spec and evaluates to the same bytes on a grid
+    spec = obj.spec()
+    back = from_spec(json.loads(json.dumps(spec)))
+    assert type(back) is type(obj) and back.spec() == spec
+    t = np.arange(64) / 64
+    if isinstance(obj, ClosedCurve):
+        assert back.eval(t).tobytes() == obj.eval(t).tobytes()
+    elif isinstance(obj, DistanceField):
+        V = np.stack([t, np.roll(t, 5), np.roll(t, 21)], axis=-1)
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        assert back.pair_dists(V, pairs).tobytes() == obj.pair_dists(V, pairs).tobytes()
+    else:
+        q = np.stack([np.cos(t), np.sin(t), t], axis=-1)
+        assert back.embed(q).tobytes() == obj.embed(q).tobytes()
 
 
 def test_curve_spec_schema():

@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from pegfinder import corpus
+from pegfinder import FourierCurve, corpus
 from pegfinder.cli import main
-from pegfinder.report import ResultDocument, dumps, loads
+from pegfinder.report import ResultDocument, dumps
 from pegfinder.svg import render_svg
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -24,7 +24,7 @@ def _strip_wall_time(text: str) -> str:
 def test_dumps_float_precision_roundtrip():
     vals = [0.1, 1 / 3, np.pi, 2.0, 1e-17, 123456789.123456789]
     text = dumps({"v": vals})
-    back = loads(text)["v"]
+    back = json.loads(text)["v"]
     assert back == vals  # 17 significant digits round-trip doubles exactly
 
 
@@ -41,7 +41,7 @@ def test_result_document_roundtrip():
         result={"x": 0.25},
     )
     text = doc.to_json()
-    assert loads(text) == doc.to_dict()
+    assert json.loads(text) == doc.to_dict()
 
 
 def test_render_svg_deterministic(ellipse):
@@ -129,6 +129,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     (tmp_path / "inffield.json").write_text('{"kind": "synthetic-field", "ps": [Infinity]}')
     for name, verts in (("collinear", [[0, 0], [1, 0], [2, 0]]), ("doubled", [[0, 0], [1, 0], [1, 1], [1, 0]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"kind": "polyline", "vertices": verts}))
+    (tmp_path / "chordsphere.json").write_text('{"kind": "chordal", "curve": {"kind": "scaled-sphere"}}')
+    # curve specs, given as the second distance field
+    (tmp_path / "ellipse.json").write_text(json.dumps(corpus("ellipse").spec()))
+    (tmp_path / "fourier.json").write_text(json.dumps(FourierCurve([0, 0], [[1], [0]], [[0], [1]]).spec()))
+    # the message of each case named here, by its last argument
+    messages = {
+        "ellipse.json": "--field2 needs a distance field; kind 'ellipse' is not one",
+        "fourier.json": "--field2 needs a distance field; kind 'fourier' is not one",
+        "nope": "unknown corpus entry 'nope'; pegfinder corpus-list lists them",
+        "chordsphere.json": "a chordal field needs a curve, not a EmbeddedSphere",
+    }
     for argv in (
         ["find-square", "--corpus", "ellipse", "--a", "foo"],
         ["find-square", "--curve", "missing.json"],
@@ -142,6 +153,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["triangle", "--curve", "nanfield.json"],
         ["triangle", "--curve", "inffield.json"],
         ["triangle", "--corpus", "circle", "--field2", "nanfield.json"],
+        ["triangle", "--corpus", "circle", "--field2", "ellipse.json"],
+        ["triangle", "--corpus", "circle", "--field2", "fourier.json"],
+        ["find-square", "--corpus", "nope"],
+        ["triangle", "--curve", "chordsphere.json"],
         ["find-square", "--corpus", "ellipse", "--tol", "-1"],
         ["find-square", "--corpus", "ellipse", "--tol", "nan"],
         ["octahedra", "--seed", "-1"],
@@ -183,6 +198,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"pegfinder {argv[0]}: ") and err.count("\n") == 1, err
+        assert messages.get(argv[-1], "") in err, err
     # without --tol the triangle runs, and its document records the default
     assert main(["triangle", "--corpus", "field-random", "--seed", "11", "--json", "tri.json"]) == 0
     settings = json.loads((tmp_path / "tri.json").read_text())["settings"]
