@@ -3,11 +3,14 @@
 Every entry is deterministic given (name, params, seed).  The JSON spec of a
 corpus object records the name and parameters, so corpus objects round-trip
 through curve spec files; ``from_spec`` is the one loader of every spec.
+``corpus_params`` names the parameters an entry takes, read from its
+builder's signature; ``corpus`` refuses any other with a ``DomainError``.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 
 import numpy as np
 
@@ -26,13 +29,25 @@ def _entry(name, doc):
     return deco
 
 
-def corpus(name, **params):
-    """Build a corpus object by name; unknown names raise UnknownCorpusError."""
+def corpus_params(name):
+    """The parameter names of corpus entry name, read from its builder."""
     try:
         builder, _ = _REGISTRY[name]
     except KeyError:
         raise UnknownCorpusError(name) from None
-    obj = builder(**params)
+    return tuple(inspect.signature(builder).parameters)
+
+
+def corpus(name, **params):
+    """Build a corpus object by name; unknown names raise UnknownCorpusError,
+    parameters the entry does not take a DomainError."""
+    takes = corpus_params(name)
+    unknown = [k for k in params if k not in takes]
+    if unknown:
+        raise DomainError(
+            f"corpus entry {name!r} takes {', '.join(takes) or 'no parameters'}, not {', '.join(unknown)}"
+        )
+    obj = _REGISTRY[name][0](**params)
     # stamp the corpus name and parameters onto the spec for round-tripping
     base_spec = obj.spec()
     merged = {"kind": name, **params}
@@ -42,11 +57,19 @@ def corpus(name, **params):
     return obj
 
 
+# the keys each built-in spec kind reads without a default
+_REQUIRED_KEYS = {"fourier": ("const", "cos", "sin"), "polyline": ("vertices",), "chordal": ("curve",)}
+
+
 def from_spec(spec: dict):
     """Rebuild a curve, distance field or sphere from its JSON spec (the
     inverse of ``.spec()``): a ``fourier``, ``polyline``, ``chordal`` or
     ``synthetic-field`` spec, or a corpus entry with its parameters."""
     kind = spec.get("kind")
+    missing = [k for k in _REQUIRED_KEYS.get(kind, ()) if k not in spec]
+    if missing:
+        needs = ", ".join(_REQUIRED_KEYS[kind])
+        raise DomainError(f"a {kind} spec needs {needs}; this one lacks {', '.join(missing)}")
     if kind == "fourier":
         return FourierCurve(spec["const"], spec["cos"], spec["sin"])
     if kind == "polyline":

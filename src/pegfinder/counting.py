@@ -129,7 +129,7 @@ def count_special_quads(source, eps, settings=None, nt=64, m=12, verify_square=T
     parity = len(specials) % 2
     verdicts = {"parity": "even" if parity == 0 else "odd", "parity_reliable": not unreliable}
     if verify_square and parity == 0:
-        curve = source if isinstance(source, ClosedCurve) else getattr(source, "curve", None)
+        curve = sys.field.curve
         if curve is not None:
             square, prov = find_square(curve, settings)
             verdicts["square_exists"] = True

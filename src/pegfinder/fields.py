@@ -81,6 +81,8 @@ def chord_dists_and_grad(P, D, pairs):
 class DistanceField:
     """One kernel, ``pair_dists_and_grad``; ``pair_dists`` and ``d`` are its parts."""
 
+    curve = None  # the curve behind the field: a chordal field's, else None
+
     def pair_dists_and_grad(self, V, pairs):
         """(L, G): distances between vertex pairs of tuples V (..., n),
         L (..., len(pairs)), and G (..., len(pairs), n) with

@@ -8,7 +8,7 @@ except the wall_time_ms field, which golden comparisons strip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,8 +34,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, PolygonParam):
         return param_dict(obj)
-    if isinstance(obj, Branch):
-        return branch_dict(obj)
     if obj is None or isinstance(obj, str):
         return obj
     return str(obj)
@@ -74,22 +72,8 @@ class ResultDocument:
     wall_time_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "tool": "pegfinder",
-                "version": TOOL_VERSION,
-                "command": self.command,
-                "subject": self.subject,
-                "settings": self.settings,
-                "result": self.result,
-                "branches": self.branches,
-                "events": self.events,
-                "counts": self.counts,
-                "verdicts": self.verdicts,
-                "status": self.status,
-                "wall_time_ms": self.wall_time_ms,
-            }
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return _jsonable({"tool": "pegfinder", "version": TOOL_VERSION, **values})
 
     def to_json(self) -> str:
         return dumps(self.to_dict())

@@ -125,7 +125,7 @@ class PolygonSystem(ResidualSystem):
         if n < 3:
             raise DomainError("need at least 3 vertices")
         self.field = as_field(source)
-        self.curve = getattr(self.field, "curve", None)
+        self.curve = self.field.curve
         self.n = n
         self.chart_dim = n
         self._chart_jac = np.tril(np.ones((n, n)))  # constant dV_i / dz_m

@@ -62,37 +62,46 @@ class _Panel:
         )
 
 
+def _document(views, draw) -> str:
+    """One panel per view (i, j), side by side: draw(offset_x, i, j) yields a
+    panel's elements; two panels get "xy view"/"xz view" labels."""
+    width = int(SIZE * len(views))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {int(SIZE)}" '
+        f'width="{width}" height="{int(SIZE)}">',
+        f'<rect width="{width}" height="{int(SIZE)}" fill="#ffffff"/>',
+    ]
+    for v, (i, j) in enumerate(views):
+        parts.extend(draw(v * SIZE, i, j))
+        if len(views) > 1:
+            axis = "xy" if (i, j) == (0, 1) else "xz"
+            parts.append(
+                f'<text x="{_fmt(v * SIZE + 16)}" y="28" font-size="18" '
+                f'font-family="monospace" fill="#222222">{axis} view</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
 def render_octahedron_svg(sphere, q) -> str:
     """Two orthographic views of six sphere points with the octahedron edges."""
     from .residuals import OCT_EDGES
 
     theta = 2 * np.pi * np.arange(256) / 256
     p = sphere.embed(np.asarray(q, dtype=float).reshape(6, 3))
-    width = 2 * SIZE
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {int(width)} {int(SIZE)}" '
-        f'width="{int(width)}" height="{int(SIZE)}">',
-        f'<rect width="{int(width)}" height="{int(SIZE)}" fill="#ffffff"/>',
-    ]
-    for v, (i, j) in enumerate([(0, 1), (0, 2)]):
-        outline = np.column_stack(
-            [sphere.scale[i] * np.cos(theta), sphere.scale[j] * np.sin(theta)]
-        )
+
+    def draw(offset_x, i, j):
+        outline = np.column_stack([sphere.scale[i] * np.cos(theta), sphere.scale[j] * np.sin(theta)])
         pts = p[:, [i, j]]
-        panel = _Panel(np.vstack([outline, pts]), offset_x=v * SIZE)
-        parts.append(panel.path(np.vstack([outline, outline[:1]]), close=False))
+        panel = _Panel(np.vstack([outline, pts]), offset_x)
+        yield panel.path(np.vstack([outline, outline[:1]]), close=False)
         for a, b in OCT_EDGES:
-            parts.append(panel.path(pts[[a, b]], close=False, stroke="#c03020", width=1.5))
+            yield panel.path(pts[[a, b]], close=False, stroke="#c03020", width=1.5)
         for k, pt in enumerate(pts):
-            parts.append(panel.dot(pt))
-            parts.append(panel.label(pt, str(k + 1)))
-        axis = "xy" if (i, j) == (0, 1) else "xz"
-        parts.append(
-            f'<text x="{_fmt(v * SIZE + 16)}" y="28" font-size="18" '
-            f'font-family="monospace" fill="#222222">{axis} view</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
+            yield panel.dot(pt)
+            yield panel.label(pt, str(k + 1))
+
+    return _document([(0, 1), (0, 2)], draw)
 
 
 def render_svg(
@@ -109,34 +118,21 @@ def render_svg(
     dashed (used for solution paths).
     """
     pts = curve_points(curve, samples)
-    three_d = pts.shape[1] == 3
-    views = [(0, 1)] if not three_d else [(0, 1), (0, 2)]
-    width = SIZE * len(views)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {int(width)} {int(SIZE)}" '
-        f'width="{int(width)}" height="{int(SIZE)}">',
-        f'<rect width="{int(width)}" height="{int(SIZE)}" fill="#ffffff"/>',
-    ]
-    for v, (i, j) in enumerate(views):
+
+    def draw(offset_x, i, j):
         proj = pts[:, [i, j]]
-        panel = _Panel(proj, offset_x=v * SIZE)
-        parts.append(panel.path(np.vstack([proj, proj[:1]]), close=False))
+        panel = _Panel(proj, offset_x)
+        yield panel.path(np.vstack([proj, proj[:1]]), close=False)
         for poly in polygons:
             vp = curve.eval(np.asarray(poly, dtype=float))[:, [i, j]]
-            parts.append(panel.path(vp, close=True, stroke="#c03020", width=2.0))
+            yield panel.path(vp, close=True, stroke="#c03020", width=2.0)
             for p in vp:
-                parts.append(panel.dot(p))
+                yield panel.dot(p)
         for chain in extra_paths:
             vp = curve.eval(np.asarray(chain, dtype=float))[:, [i, j]]
-            parts.append(panel.path(vp, close=False, stroke="#2a7a2a", width=1.0, dash="4,3"))
+            yield panel.path(vp, close=False, stroke="#2a7a2a", width=1.0, dash="4,3")
         for poly, text in annotations:
             vp = curve.eval(np.asarray(poly, dtype=float))[:, [i, j]]
-            parts.append(panel.label(vp[0], text))
-        if three_d:
-            axis = "xy" if (i, j) == (0, 1) else "xz"
-            parts.append(
-                f'<text x="{_fmt(v * SIZE + 16)}" y="28" font-size="18" '
-                f'font-family="monospace" fill="#222222">{axis} view</text>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+            yield panel.label(vp[0], text)
+
+    return _document([(0, 1)] if pts.shape[1] == 2 else [(0, 1), (0, 2)], draw)

@@ -133,6 +133,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # curve specs, given as the second distance field
     (tmp_path / "ellipse.json").write_text(json.dumps(corpus("ellipse").spec()))
     (tmp_path / "fourier.json").write_text(json.dumps(FourierCurve([0, 0], [[1], [0]], [[0], [1]]).spec()))
+    # a parameter the corpus entry does not take, and a spec without a required key
+    (tmp_path / "ellipse_c.json").write_text('{"kind": "ellipse", "c": 3}')
+    (tmp_path / "nocos.json").write_text('{"kind": "fourier", "const": [0, 0]}')
     # the message of each case named here, by its last argument
     messages = {
         "ellipse.json": "--field2 needs a distance field; kind 'ellipse' is not one",
@@ -140,6 +143,14 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         "nope": "unknown corpus entry 'nope'; pegfinder corpus-list lists them",
         "chordsphere.json": "a chordal field needs a curve, not a EmbeddedSphere",
     }
+
+    def refused(argv, message=""):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"pegfinder {argv[0]}: ") and err.count("\n") == 1, err
+        assert message in err, err
+
     for argv in (
         ["find-square", "--corpus", "ellipse", "--a", "foo"],
         ["find-square", "--curve", "missing.json"],
@@ -194,11 +205,25 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["find-square", "--corpus", "fourier-random", "--degree", "2.5"],
         ["find-square", "--corpus", "fourier-random", "--degree", "0"],
     ):
-        capsys.readouterr()
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith(f"pegfinder {argv[0]}: ") and err.count("\n") == 1, err
-        assert messages.get(argv[-1], "") in err, err
+        refused(argv, messages.get(argv[-1], ""))
+    for argv, message in (
+        # corpus parameters are checked against the entry's builder
+        (["find-square", "--corpus", "ellipse", "--bb", "3"], "corpus entry 'ellipse' takes a, b, not bb"),
+        (["find-square", "--curve", "ellipse_c.json"], "corpus entry 'ellipse' takes a, b, not c"),
+        (["find-square", "--corpus", "field-sin-mod", "--c0", "1"], "corpus entry 'field-sin-mod' takes no parameters, not c0"),
+        (["find-square", "--curve", "nocos.json"], "a fourier spec needs const, cos, sin; this one lacks cos, sin"),
+        # two subjects, or corpus parameters without a corpus entry, are refused, not dropped
+        (["find-square", "--curve", "ellipse.json", "--corpus", "circle", "--a", "7"],
+         "--curve and --corpus both name a subject; give one of them"),
+        (["find-square", "--curve", "ellipse.json", "--a", "7"], "corpus parameters (--a) need --corpus NAME"),
+        (["octahedra", "--lz", "0.6"], "corpus parameters (--lz) need --corpus NAME"),
+        # a subject that does not suit the command
+        (["octahedra", "--corpus", "ellipse"], "octahedra needs a scaled sphere, not a ellipse"),
+        (["count-special", "--corpus", "scaled-sphere", "--size", "0.25"],
+         "count-special needs a curve or a distance field, not a scaled-sphere"),
+        (["find-ngon", "--corpus", "field-random", "--n", "4"], "find-ngon needs a curve, not a field-random"),
+    ):
+        refused(argv, message)
     # without --tol the triangle runs, and its document records the default
     assert main(["triangle", "--corpus", "field-random", "--seed", "11", "--json", "tri.json"]) == 0
     settings = json.loads((tmp_path / "tri.json").read_text())["settings"]
@@ -243,6 +268,16 @@ def test_cli_find_ngon_winding(tmp_path, monkeypatch, capsys):
     doc = json.loads((tmp_path / "ngon.json").read_text())
     assert abs(doc["result"]["winding_sum"]) == 1
     assert 5 in doc["result"]["isotropy_orders"]
+    # --seed reaches the seeded corpus entry
+    assert doc["subject"]["seed"] == 7
+
+
+def test_cli_seed_skips_unseeded_entries(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["find-square", "--corpus", "ellipse", "--seed", "3", "--json", "sq.json"]) == 0
+    doc = json.loads((tmp_path / "sq.json").read_text())
+    assert doc["subject"]["kind"] == "ellipse" and "seed" not in doc["subject"]
+    assert doc["settings"]["seed"] == 3
 
 
 def test_result_documents_match_schema(tmp_path, monkeypatch, capsys):

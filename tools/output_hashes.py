@@ -16,10 +16,17 @@ with settings seeds 1 and 2 and on a sphere scaled on two axes,
 `find_two_metric_triangle` on the circle and `field-sin-mod` (these pin
 the component-membership decisions of `tracing.near_chain`), and
 `count_squares` on `field-random` seed 0 (a batched multistart on the
-synthetic field's kernel), and prints a SHA-256 prefix of each output
-followed by the call's label. An output is hashed exactly: arrays by
-dtype, shape and bytes, floats by their hex form, containers and
-dataclasses field by field (a branch's system by its kind). The CLI
+synthetic field's kernel), then one `pegfinder` call per command that the
+benchmark's CLI calls leave out (`find-ngon --n 5 --corpus ellipse`,
+`find-ngon --n 4 --ratios 1,1,1 --corpus fourier-random --seed 7`,
+`knot-rhombus --corpus trefoil`, `octahedra --lambda-z 0.5`, `triangle
+--corpus circle --field2` on the `field-sin-mod` spec, `count-special
+--corpus field-sin-mod --size 0.25` and `find-rect --corpus ellipse
+--ratio 2 --cross-check`, each writing out.json and out.svg), and prints
+a SHA-256 prefix of each output followed by the call's label. An output
+is hashed exactly: arrays by dtype, shape and bytes, floats by their hex
+form, containers and dataclasses field by field (a branch's system by its
+kind). The CLI
 calls are hashed by their exit code and the files they write, with
 ``wall_time_ms`` zeroed. Run it on two checkouts and diff the outputs: a
 change that claims bit-identical results prints the same lines.
@@ -27,8 +34,11 @@ change that claims bit-identical results prints the same lines.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import os
 import re
 import shutil
@@ -46,6 +56,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 import pegfinder as pf  # noqa: E402
+from pegfinder import cli  # noqa: E402
 from pegfinder.residuals import ResidualSystem  # noqa: E402
 from pegfinder.searches import polygon_seed_grid  # noqa: E402
 
@@ -148,6 +159,34 @@ def finder_calls():
     return calls
 
 
+def cli_calls(workdir):
+    """(label, call): `pegfinder` calls in workdir, each returning its exit
+    code; the triangle call first writes the field2.json it reads."""
+    field2 = json.dumps(pf.corpus("field-sin-mod").spec())
+    commands = [
+        "find-ngon --n 5 --corpus ellipse",
+        "find-ngon --n 4 --ratios 1,1,1 --corpus fourier-random --seed 7",
+        "knot-rhombus --corpus trefoil",
+        "octahedra --lambda-z 0.5",
+        "triangle --corpus circle --field2 field2.json",
+        "count-special --corpus field-sin-mod --size 0.25",
+        "find-rect --corpus ellipse --ratio 2 --cross-check",
+    ]
+
+    def run(argv):
+        home = os.getcwd()
+        os.chdir(workdir)
+        try:
+            if "--field2" in argv:
+                Path("field2.json").write_text(field2)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                return cli.main(argv + ["--json", "out.json", "--svg", "out.svg"])
+        finally:
+            os.chdir(home)
+
+    return [(f"pegfinder {c}", lambda argv=c.split(): run(argv)) for c in commands]
+
+
 def output_hash(run, workdir):
     h = hashlib.sha256()
     try:
@@ -172,7 +211,7 @@ def main():
                 print(f"{output_hash(op.run, workdir)}  branch-trace seed={seed} {op.label}", flush=True)
         for op in workloads.build("square-count", 0, str(ROOT), workdir):
             print(f"{output_hash(op.run, workdir)}  square-count {op.label}", flush=True)
-        for label, run in finder_calls():
+        for label, run in finder_calls() + cli_calls(workdir):
             print(f"{output_hash(run, workdir)}  {label}", flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
